@@ -383,9 +383,9 @@ class JoinStepProfile:
     rows_right: int = 0
     rows_out: int = 0
     # Summed per call (sum of l_i * r_i), not left-sum x right-sum: a
-    # chunk-parallel execution joins each chunk against the full build
+    # morsel-parallel execution joins each morsel against the full build
     # side, and the product of the sums would overcount the cross space
-    # by the degree of parallelism.
+    # by the number of morsels.
     cross_rows: int = 0
     seconds: float = 0.0
 
@@ -497,7 +497,7 @@ class PlanProfiler:
     """Thread-safe per-execution collector of operator observations.
 
     One profiler is shared by every :class:`~repro.relational.executor.
-    Executor` a query fans out to (chunk-parallel, per-partition), so the
+    Executor` pass of a query (every morsel and the serial tail), so the
     assembled tree aggregates the whole execution. Accumulators key on
     node identity (the plan object outlives the run); fingerprints are
     resolved once, at :meth:`profile_tree` time.

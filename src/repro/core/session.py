@@ -164,9 +164,9 @@ class RunStats:
 
 
 def _serving_counter_property(name: str) -> property:
-    """Attribute API over a registry counter (read / assign / ``+=``
-    under the session's ``_stats_lock``, exactly like the dataclass
-    attributes this class replaced)."""
+    """Attribute API over a registry counter (read / assign, like the
+    dataclass attributes this class replaced); increments go through
+    :meth:`ServingStats.inc`, which is atomic."""
     def fget(self):
         return self._counters[name].value
 
@@ -235,6 +235,10 @@ class ServingStats:
     @property
     def queries_in_flight(self) -> int:
         return self.in_flight.value
+
+    def inc(self, name: str, amount: int = 1) -> None:
+        """Atomically add ``amount`` to the ``name`` counter."""
+        self._counters[name].inc(amount)
 
     def _values(self) -> Tuple[int, ...]:
         return tuple(self._counters[name].value for name in self.FIELDS)
@@ -846,8 +850,7 @@ class RavenSession:
             key = normalized.key
             route = self.breakers.acquire(key)
             if route == ROUTE_TRIAL:
-                with self._stats_lock:
-                    self.serving_stats.breaker_half_opens += 1
+                self.serving_stats.inc("breaker_half_opens")
                 if trace is not None:
                     trace.root.event("breaker.trial")
             elif route == ROUTE_DEGRADED:
@@ -861,8 +864,7 @@ class RavenSession:
         except BaseException as error:
             self._breaker_outcome(key, route, error, trace=trace)
             if isinstance(error, DeadlineExceededError):
-                with self._stats_lock:
-                    self.serving_stats.deadline_exceeded += 1
+                self.serving_stats.inc("deadline_exceeded")
             raise
         self._breaker_outcome(key, route, None, trace=trace)
         return table, stats
@@ -926,8 +928,7 @@ class RavenSession:
         plan). Degraded runs never profile: feedback must keep describing
         the adaptive path the half-open trial will retest.
         """
-        with self._stats_lock:
-            self.serving_stats.degraded_runs += 1
+        self.serving_stats.inc("degraded_runs")
         optimize_started = time.perf_counter()
         span = (trace.root.child("optimize", category="optimize",
                                  static=True)
@@ -956,8 +957,7 @@ class RavenSession:
                                          profile=False, deadline=deadline,
                                          trace=trace)
         except DeadlineExceededError:
-            with self._stats_lock:
-                self.serving_stats.deadline_exceeded += 1
+            self.serving_stats.inc("deadline_exceeded")
             raise
         stats.static_plan = True
         return table, stats
@@ -985,13 +985,12 @@ class RavenSession:
             return
         if trace is not None:
             trace.root.event(f"breaker.{event}")
-        with self._stats_lock:
-            if event == EVENT_TRIPPED:
-                self.serving_stats.breaker_trips += 1
-            elif event == EVENT_REOPENED:
-                self.serving_stats.breaker_reopens += 1
-            elif event == EVENT_CLOSED:
-                self.serving_stats.breaker_closes += 1
+        if event == EVENT_TRIPPED:
+            self.serving_stats.inc("breaker_trips")
+        elif event == EVENT_REOPENED:
+            self.serving_stats.inc("breaker_reopens")
+        elif event == EVENT_CLOSED:
+            self.serving_stats.inc("breaker_closes")
 
     def _should_profile(self, entry, cache_hit: bool) -> bool:
         """Sampled re-profiling gate (True = profile this execution).
@@ -1030,9 +1029,9 @@ class RavenSession:
 
         Dispatches over a thread pool (numpy kernels release the GIL, so
         vectorized work overlaps); each call still goes through the plan
-        cache, and large scans additionally chunk-parallelize inside a
-        worker when the session's ``dop`` > 1 (via
-        :class:`repro.relational.parallel.ParallelExecutor`).
+        cache, and large scans additionally split into morsels inside a
+        worker when the session's ``dop`` > 1 (see
+        :mod:`repro.relational.morsel`).
 
         ``max_pending`` bounds the pending-query depth (submitted but not
         yet finished). When the bound is reached, ``backpressure`` decides:
@@ -1061,55 +1060,12 @@ class RavenSession:
                          deadline: Union[Deadline, float, None] = None
                          ) -> List[Tuple[Table, RunStats]]:
         """:meth:`serve`, returning ``(table, stats)`` per query in order."""
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if backpressure not in ("block", "raise"):
-            raise ValueError("backpressure must be 'block' or 'raise'")
-        if max_pending is not None and max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
-        queries = list(queries)
-        gate = (threading.BoundedSemaphore(max_pending)
-                if max_pending is not None else None)
-
-        def admit(query: str) -> None:
-            if gate is not None:
-                if backpressure == "block":
-                    gate.acquire()
-                elif not gate.acquire(blocking=False):
-                    with self._stats_lock:
-                        self.serving_stats.rejected += 1
-                    raise BackpressureError(
-                        f"pending-query depth {max_pending} exceeded "
-                        f"(policy='raise'): {query[:80]!r}"
-                    )
-            with self._stats_lock:
-                self.serving_stats.submitted += 1
-
-        def run_one(index: int, query: str) -> Tuple[Table, RunStats]:
-            try:
-                outcome = self._attempt_query(query, retry, deadline,
-                                              salt=index)
-            finally:
-                with self._stats_lock:
-                    self.serving_stats.completed += 1
-                if gate is not None:
-                    gate.release()
+        outcomes = self._serve(queries, workers, max_pending, backpressure,
+                               retry, deadline, isolate=False)
+        for outcome in outcomes:
             if outcome.error is not None:
                 raise outcome.error
-            return outcome.table, outcome.stats
-
-        if workers == 1 or len(queries) <= 1:
-            results = []
-            for index, query in enumerate(queries):
-                admit(query)
-                results.append(run_one(index, query))
-            return results
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = []
-            for index, query in enumerate(queries):
-                admit(query)  # backpressure applies *before* submission
-                futures.append(pool.submit(run_one, index, query))
-            return [future.result() for future in futures]
+        return [(outcome.table, outcome.stats) for outcome in outcomes]
 
     def serve_outcomes(self, queries: Iterable[str], workers: int = 4,
                        max_pending: Optional[int] = None,
@@ -1127,6 +1083,21 @@ class RavenSession:
         carries the :class:`~repro.errors.BackpressureError` with
         ``attempts=0``.
         """
+        return self._serve(queries, workers, max_pending, backpressure,
+                           retry, deadline, isolate=True)
+
+    def _serve(self, queries: Iterable[str], workers: int,
+               max_pending: Optional[int], backpressure: str,
+               retry: Optional[RetryPolicy],
+               deadline: Union[Deadline, float, None],
+               isolate: bool) -> List[QueryOutcome]:
+        """The serve dispatch loop: admission gate, counting and ordered
+        pool dispatch, one outcome per query.
+
+        Without ``isolate`` a rejection raises at admission (nothing
+        after it is submitted) and a serial batch stops at its first
+        final failure; callers raise the first failure in order.
+        """
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if backpressure not in ("block", "raise"):
@@ -1136,51 +1107,49 @@ class RavenSession:
         queries = list(queries)
         gate = (threading.BoundedSemaphore(max_pending)
                 if max_pending is not None else None)
+        stats = self.serving_stats
 
-        def admit(query: str) -> bool:
+        def rejection(query: str) -> Optional[QueryOutcome]:
+            """Admit ``query`` (None) or return its rejected outcome."""
             if gate is not None:
                 if backpressure == "block":
                     gate.acquire()
                 elif not gate.acquire(blocking=False):
-                    with self._stats_lock:
-                        self.serving_stats.rejected += 1
-                    return False
-            with self._stats_lock:
-                self.serving_stats.submitted += 1
-            return True
-
-        def rejected(query: str) -> QueryOutcome:
-            return QueryOutcome(
-                query=query, attempts=0,
-                error=BackpressureError(
-                    f"pending-query depth {max_pending} exceeded "
-                    f"(policy='raise'): {query[:80]!r}"))
+                    stats.inc("rejected")
+                    error = BackpressureError(
+                        f"pending-query depth {max_pending} exceeded "
+                        f"(policy='raise'): {query[:80]!r}")
+                    if not isolate:
+                        raise error
+                    return QueryOutcome(query=query, attempts=0, error=error)
+            stats.inc("submitted")
+            return None
 
         def run_one(index: int, query: str) -> QueryOutcome:
             try:
                 return self._attempt_query(query, retry, deadline,
                                            salt=index)
             finally:
-                with self._stats_lock:
-                    self.serving_stats.completed += 1
+                stats.inc("completed")
                 if gate is not None:
                     gate.release()
 
+        outcomes: List[QueryOutcome] = []
         if workers == 1 or len(queries) <= 1:
-            return [run_one(index, query) if admit(query)
-                    else rejected(query)
-                    for index, query in enumerate(queries)]
-        outcomes: List[Optional[QueryOutcome]] = [None] * len(queries)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {}
             for index, query in enumerate(queries):
-                if admit(query):  # backpressure before submission
-                    futures[index] = pool.submit(run_one, index, query)
-                else:
-                    outcomes[index] = rejected(query)
-            for index, future in futures.items():
-                outcomes[index] = future.result()
-        return outcomes
+                outcome = rejection(query) or run_one(index, query)
+                outcomes.append(outcome)
+                if outcome.error is not None and not isolate:
+                    break
+            return outcomes
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            pending = []
+            for index, query in enumerate(queries):
+                # Backpressure applies *before* submission.
+                pending.append(rejection(query)
+                               or pool.submit(run_one, index, query))
+        return [item if isinstance(item, QueryOutcome) else item.result()
+                for item in pending]
 
     def _attempt_query(self, query: str, retry: Optional[RetryPolicy],
                        deadline: Union[Deadline, float, None],
@@ -1222,12 +1191,10 @@ class RavenSession:
                           and deadline.remaining() <= delay):
                         can_retry = False
                 if not can_retry:
-                    with self._stats_lock:
-                        self.serving_stats.failed += 1
+                    self.serving_stats.inc("failed")
                     return QueryOutcome(query=query, attempts=attempts,
                                         error=raven_typed(error))
-                with self._stats_lock:
-                    self.serving_stats.retries += 1
+                self.serving_stats.inc("retries")
                 time.sleep(delay)
                 slept += delay
                 continue
@@ -1291,8 +1258,8 @@ class RavenSession:
         fallbacks = executor.exec_stats.expression_fallbacks
         with self._stats_lock:
             self.runtime.gpu_time_adjustment += runtime.gpu_time_adjustment
-            if fallbacks:
-                self.serving_stats.expression_fallbacks += fallbacks
+        if fallbacks:
+            self.serving_stats.inc("expression_fallbacks", fallbacks)
         profiles: Optional[OperatorProfile] = None
         if profiler is not None:
             profiles = profiler.profile_tree(plan)

@@ -62,20 +62,21 @@ from repro.storage.column import Column, DataType
 from repro.storage.table import Table, TableView
 
 # predict_executor(node, input_table) -> Table of the node's output columns.
-PredictExecutor = Callable[[Predict, Table], Table]
+# For a Predict carrying per-partition graphs, the morsel runner binds the
+# morsel's partition index as a ``partition=`` keyword argument.
+PredictExecutor = Callable[..., Table]
 
 
 @dataclass(frozen=True, order=True)
 class Morsel:
     """One partition-aligned unit of scan work.
 
-    A fourth ``scan_restrictions`` kind (after partition index, row range
-    and partition-index list): restricts the scan to rows
-    ``[start, stop)`` *of one partition*. The morsel-driven executor
-    (:mod:`repro.relational.morsel`) fans a query out over morsels and
-    merges results in ``(partition, start)`` order — exactly the row
-    order of the serial unrestricted scan, which is what keeps parallel
-    execution bit-for-bit identical.
+    A ``scan_restrictions`` kind (the other is a partition-index list):
+    restricts the scan to rows ``[start, stop)`` *of one partition*. The
+    morsel runner (:mod:`repro.relational.morsel`) fans every query out
+    over morsels and merges results in ``(partition, start)`` order —
+    exactly the row order of the unrestricted scan, which is what keeps
+    parallel execution bit-for-bit identical.
     """
 
     partition: int
@@ -90,8 +91,8 @@ class Morsel:
 class ExecStats:
     """Per-execution counters for compiled-expression reuse.
 
-    Shared (thread-safely) by every Executor a QueryExecutor fans out to,
-    so chunk-parallel and per-partition runs aggregate into one view.
+    Shared (thread-safely) by every Executor pass of one query — each
+    morsel and the serial tail — so they aggregate into one view.
     ``expression_fallbacks`` counts operators that degraded from the
     compiled engine to the interpreted oracle after a compile/engine
     failure.
@@ -126,9 +127,9 @@ class ExecStats:
 class Executor:
     """Evaluates plans against a catalog.
 
-    ``scan_restrictions`` optionally restricts named tables to one partition
-    index or a row range — used for per-partition execution (data-induced
-    optimization) and for chunk-parallel execution (DOP).
+    ``scan_restrictions`` optionally restricts named tables to one
+    :class:`Morsel` or to a list of partition indices (partition
+    skipping) — the morsel runner's per-morsel passes.
     ``compile_expressions`` selects the compiled expression engine (default)
     or the interpreted oracle.
     ``profiler`` (a :class:`repro.adaptive.profile.PlanProfiler`) turns on
@@ -157,8 +158,8 @@ class Executor:
         self.faults = faults
         # Telemetry: when a parent Span is given, every operator records
         # a child span with rows in/out. Each Executor instance runs its
-        # plan on one thread (chunk parallelism builds one Executor per
-        # chunk), so a plain list works as the span stack; concurrent
+        # plan on one thread (the morsel runner builds one Executor per
+        # morsel), so a plain list works as the span stack; concurrent
         # child appends on the shared parent are trace-lock protected.
         self._span_stack = [span] if span is not None else None
 
@@ -271,13 +272,9 @@ class Executor:
         entry = self.catalog.table(node.table_name)
         restriction = self.scan_restrictions.get(node.table_name)
         if isinstance(restriction, Morsel):
-            table = entry.data.partitions[restriction.partition].table \
-                .slice(restriction.start, restriction.stop)
-        elif isinstance(restriction, int):
-            table = entry.data.partitions[restriction].table
-        elif isinstance(restriction, tuple):
-            start, stop = restriction
-            table = entry.data.to_table().slice(start, stop)
+            table = entry.data.partitions[restriction.partition].table
+            if restriction.num_rows != table.num_rows:
+                table = table.slice(restriction.start, restriction.stop)
         elif isinstance(restriction, list):
             # Partition skipping: read only the listed partitions.
             from repro.storage.table import concat_tables

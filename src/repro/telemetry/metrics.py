@@ -66,9 +66,9 @@ def _render_prometheus_labels(labels: LabelItems,
 
 
 class Counter:
-    """A monotonic counter. ``set`` exists for the stats back-compat
-    properties (``stats.field += 1`` reads then sets under the caller's
-    own lock, exactly like the dataclass attributes it replaces)."""
+    """A monotonic counter. ``inc`` is atomic (the counter carries its
+    own lock); ``set`` exists for the stats back-compat properties that
+    assign a field, like the dataclass attributes they replace."""
 
     __slots__ = ("name", "labels", "_lock", "_value")
     kind = "counter"

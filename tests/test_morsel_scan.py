@@ -8,10 +8,17 @@ in any order on any worker, but the merged result must be exactly what
 
 from __future__ import annotations
 
+import re
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import RavenSession, Table
+from repro.datasets import hospital
+from repro.learn import DecisionTreeClassifier
+from repro.relational import execute, find_predict_nodes
 from repro.relational.executor import Executor, Morsel
 from repro.relational.logical import Scan
 from repro.relational.morsel import (
@@ -22,6 +29,7 @@ from repro.relational.morsel import (
 from repro.storage.catalog import Catalog
 from repro.storage.partition import Partition, PartitionedTable
 from repro.storage.statistics import TableStats
+from repro.tensor.device import RunResult, SimulatedGpuDevice
 
 
 def tables_equal_bitwise(a, b) -> bool:
@@ -140,6 +148,20 @@ class TestMorselDifferential:
         for query, expected in zip(QUERIES, oracle):
             assert tables_equal_bitwise(session.sql(query), expected), query
 
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """Unrestricted single-pass execution of each optimized plan —
+        independent of the morsel runner, unlike the dop=1 oracle."""
+        session = make_session(dop=1, adaptive=False)
+        return [execute(session.optimize(q)[0], session.catalog)
+                for q in QUERIES]
+
+    @pytest.mark.parametrize("dop", [1, 2, 4])
+    def test_matches_unrestricted_reference(self, reference, dop):
+        session = make_session(dop=dop)
+        for query, expected in zip(QUERIES, reference):
+            assert tables_equal_bitwise(session.sql(query), expected), query
+
     def test_single_partition_table(self):
         table = make_events(20_000, buckets=1)
         serial = RavenSession(dop=1)
@@ -218,6 +240,19 @@ class TestScheduling:
                 for p in range(6)]
         assert all(v is not None and v >= 0.0 for v in warm)
 
+    def test_single_worker_runs_canonical_order(self, monkeypatch):
+        # Order only matters to a pool: one worker must not follow the
+        # (timing-fed) schedule, so a serial query's work is the same
+        # sequence every time.
+        monkeypatch.setattr(MorselExecutor, "_schedule",
+                            lambda self, morsels, target: morsels[::-1])
+        session = make_session(dop=1, telemetry=True)
+        session.sql("SELECT e.id FROM events AS e WHERE e.y < 37.0")
+        trace = session.telemetry.tracer.last()
+        order = [s.attributes["partition"] for s in trace.spans()
+                 if s.name == "scan.morsel"]
+        assert order == list(range(6))
+
     def test_cold_schedule_is_deterministic_lpt(self):
         catalog = Catalog()
         catalog.add_table("events", make_events(6_000),
@@ -228,3 +263,154 @@ class TestScheduling:
         out = executor._schedule(list(morsels), Scan("events"))
         assert out == [Morsel(1, 0, 500), Morsel(2, 0, 500),
                        Morsel(0, 0, 100), Morsel(3, 0, 50)]
+
+
+# ---------------------------------------------------------------------------
+# Generated partition layouts vs the unrestricted reference
+# ---------------------------------------------------------------------------
+
+LAYOUT_QUERIES = [
+    "SELECT e.id, e.x FROM events AS e WHERE e.y < 37.0",
+    "SELECT e.id, e.x + e.y AS s FROM events AS e WHERE e.bucket = 1",
+    "SELECT AVG(e.x) AS m, COUNT(*) AS c FROM events AS e WHERE e.y < 60.0",
+    "SELECT e.id, e.x FROM events AS e WHERE e.x > 0.5 ORDER BY id LIMIT 7",
+]
+
+
+def make_layout(sizes, seed) -> PartitionedTable:
+    """One partition per entry of ``sizes`` (0- and 1-row ones included),
+    with ``bucket`` equal to the partition index so zone maps skip."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    offset = 0
+    for index, rows in enumerate(sizes):
+        table = Table.from_arrays(
+            id=np.arange(offset, offset + rows),
+            bucket=np.full(rows, index, dtype=np.int64),
+            x=rng.normal(size=rows),
+            y=rng.uniform(0, 100, size=rows),
+        )
+        offset += rows
+        parts.append(Partition(table=table, stats=TableStats.collect(table),
+                               key=index))
+    return PartitionedTable(parts, partition_column="bucket")
+
+
+class TestGeneratedLayouts:
+    @settings(max_examples=30, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(sizes=st.lists(st.one_of(st.sampled_from([0, 1]),
+                                    st.integers(2, 3_000),
+                                    # Above MIN_MORSEL_ROWS: split at dop > 1.
+                                    st.integers(8_193, 20_000)),
+                          min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 16),
+           dop=st.sampled_from([1, 2, 3, 4]),
+           compiled=st.booleans())
+    def test_layout_matches_unrestricted_reference(self, sizes, seed, dop,
+                                                   compiled):
+        layout = make_layout(sizes, seed)
+        session = RavenSession(dop=dop, compile_expressions=compiled)
+        session.register_table("events", layout)
+        for query in LAYOUT_QUERIES:
+            plan, _ = session.optimize(query)
+            expected = execute(plan, session.catalog)
+            assert tables_equal_bitwise(session.sql(query), expected), \
+                (query, sizes, dop, compiled)
+
+
+# ---------------------------------------------------------------------------
+# The serial tail runs under the query's context
+# ---------------------------------------------------------------------------
+
+class TestTailContext:
+    def test_tail_operators_are_traced_and_profiled(self):
+        rng = np.random.default_rng(0)
+        n = 50_000
+        table = Table.from_arrays(id=np.arange(n), v=rng.normal(size=n))
+        session = RavenSession(dop=2, telemetry=True)
+        session.register_table("t", table, primary_key=["id"])
+        query = ("SELECT d.id, d.v FROM t AS d WHERE d.v > 0.0 "
+                 "ORDER BY v LIMIT 5")
+        session.sql(query)
+        names = {span.name for span in
+                 session.telemetry.tracer.last().spans()}
+        assert {"Sort", "Limit"} <= names
+        assert len([s for s in session.telemetry.tracer.last().spans()
+                    if s.name == "scan.morsel"]) > 1  # tail over merged
+        rendered = session.explain(query, analyze=True)
+        match = re.search(r"Sort\(.*\): (\d+)->(\d+) rows", rendered)
+        assert match is not None, rendered
+        rows_in, rows_out = int(match.group(1)), int(match.group(2))
+        assert rows_in == rows_out == int((table.array("v") > 0).sum())
+
+
+# ---------------------------------------------------------------------------
+# Partition-specialized Predict runs as morsels
+# ---------------------------------------------------------------------------
+
+class TestSpecializedPredict:
+    MODELED_SECONDS = 1_000.0
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        # 60k rows over 6 rcount partitions: ~10k-row partitions, so
+        # dop > 1 splits each one into several morsels.
+        dataset = hospital.generate(60_000, seed=3)
+        pipeline = dataset.train_pipeline(
+            DecisionTreeClassifier(max_depth=8, random_state=0),
+            train_rows=3_000)
+        return dataset, pipeline
+
+    def make(self, dataset, dop, **kwargs):
+        data, pipeline = dataset
+        session = RavenSession(dop=dop, **kwargs)
+        data.register(session, partition_column="rcount")
+        session.register_model("los", pipeline)
+        query = data.prediction_query("los")
+        predict = find_predict_nodes(session.optimize(query)[0])[0]
+        assert predict.per_partition_graphs is not None
+        return session, query
+
+    @pytest.mark.parametrize("strategy", ["none", "dnn"])
+    def test_bit_for_bit_across_dop(self, dataset, strategy):
+        results = {}
+        for dop in (1, 2, 4):
+            session, query = self.make(dataset, dop, strategy=strategy)
+            results[dop] = session.sql(query)
+            morsels = session.telemetry.metrics.counter("morsels_executed")
+            if dop == 1:
+                assert morsels.value == 6  # one morsel per partition
+            else:
+                assert morsels.value > 6  # partitions split into morsels
+        for dop in (2, 4):
+            assert tables_equal_bitwise(results[dop], results[1]), dop
+
+    @pytest.mark.parametrize("dop", [1, 2, 4, 16])
+    def test_gpu_adjustment_sums_across_morsels(self, dataset, dop,
+                                                monkeypatch):
+        calls = []
+        original = SimulatedGpuDevice.run
+
+        def modeled(device, program, inputs):
+            result = original(device, program, inputs)
+            calls.append(1)
+            return RunResult(result.outputs, self.MODELED_SECONDS,
+                             simulated=True)
+
+        monkeypatch.setattr(SimulatedGpuDevice, "run", modeled)
+        session, query = self.make(dataset, dop, strategy="dnn",
+                                   gpu_available=True)
+        calls.clear()
+        # A tiny switch interval makes a lost update of the shared
+        # adjustment (concurrent morsels at dop > 1) show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _, stats = session.sql_with_stats(query)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) >= 6  # one inference per morsel
+        # adjustment = sum over morsels of (modeled - measured seconds).
+        assert stats.gpu_adjustment_seconds == pytest.approx(
+            self.MODELED_SECONDS * len(calls), abs=0.5 * len(calls))

@@ -1,4 +1,4 @@
-"""Tests for chunk-parallel execution (DOP) and SQL text generation."""
+"""Tests for morsel-parallel execution (DOP) and SQL text generation."""
 
 import numpy as np
 import pytest
@@ -14,7 +14,6 @@ from repro.relational import (
     InList,
     Join,
     Limit,
-    ParallelExecutor,
     Project,
     Scan,
     Sort,
@@ -25,14 +24,18 @@ from repro.relational import (
     lit,
     plan_to_sql,
 )
-from repro.relational.parallel import split_serial_tail
+from repro.relational.morsel import MorselExecutor, split_serial_tail
 from repro.storage import Catalog, DataType, Table
+from repro.telemetry.metrics import MetricsRegistry
+
+
+FACT_ROWS = 40_000
 
 
 @pytest.fixture()
 def catalog():
     rng = np.random.default_rng(1)
-    n = 2_000
+    n = FACT_ROWS
     catalog = Catalog()
     catalog.add_table("fact", Table.from_arrays(
         id=np.arange(n), key=rng.integers(0, 20, n),
@@ -42,58 +45,79 @@ def catalog():
     return catalog
 
 
+def assert_bitwise_equal(a, b):
+    assert a.column_names == b.column_names
+    for name in a.column_names:
+        x, y = a.array(name), b.array(name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+
+
 class TestParallelExecutor:
+    """The morsel runner over a flat (single-partition) table: morsels
+    are row ranges of the one partition, merged in row order."""
+
     @pytest.mark.parametrize("dop", [1, 2, 4, 7])
     def test_filter_project_matches_serial(self, catalog, dop):
         plan = Project(Filter(Scan("fact"), col("fact.v").gt(0.0)),
                        [("v", col("fact.v"))])
         serial = execute(plan, catalog)
-        parallel = ParallelExecutor(catalog, dop=dop).execute(plan)
-        assert np.allclose(np.sort(serial.array("v")),
-                           np.sort(parallel.array("v")))
+        parallel = MorselExecutor(catalog, dop=dop).execute(plan)
+        assert_bitwise_equal(serial, parallel)
+
+    def test_flat_table_splits_into_row_range_morsels(self, catalog):
+        registry = MetricsRegistry()
+        plan = Filter(Scan("fact"), col("fact.v").gt(0.0))
+        morsels = registry.counter("morsels_executed")
+        MorselExecutor(catalog, dop=4, metrics=registry).execute(plan)
+        assert morsels.value > 1
+        before = morsels.value
+        MorselExecutor(catalog, dop=1, metrics=registry).execute(plan)
+        assert morsels.value == before + 1  # dop=1: one whole-table pass
 
     @pytest.mark.parametrize("dop", [2, 4])
     def test_join_chunked_on_fact_side(self, catalog, dop):
         plan = Join(Scan("fact"), Scan("dim"), ["fact.key"], ["dim.key"])
         serial = execute(plan, catalog)
-        parallel = ParallelExecutor(catalog, dop=dop).execute(plan)
-        assert serial.num_rows == parallel.num_rows
-        assert np.allclose(np.sort(serial.array("dim.w")),
-                           np.sort(parallel.array("dim.w")))
+        parallel = MorselExecutor(catalog, dop=dop).execute(plan)
+        assert_bitwise_equal(serial, parallel)
 
     def test_aggregate_tail_runs_once(self, catalog):
         plan = Aggregate(Scan("fact"), ["fact.key"],
                          [AggregateSpec("n", "count"),
                           AggregateSpec("s", "sum", "fact.v")])
         serial = execute(plan, catalog)
-        parallel = ParallelExecutor(catalog, dop=4).execute(plan)
-        s = {r["fact.key"]: r for r in serial.to_rows()}
-        p = {r["fact.key"]: r for r in parallel.to_rows()}
-        assert s.keys() == p.keys()
-        for key in s:
-            assert s[key]["n"] == p[key]["n"]
-            assert np.isclose(s[key]["s"], p[key]["s"])
+        parallel = MorselExecutor(catalog, dop=4).execute(plan)
+        assert_bitwise_equal(serial, parallel)
 
     def test_global_aggregate(self, catalog):
         plan = Aggregate(Scan("fact"), [], [AggregateSpec("n", "count")])
-        out = ParallelExecutor(catalog, dop=3).execute(plan)
-        assert out.array("n")[0] == 2_000
+        out = MorselExecutor(catalog, dop=3).execute(plan)
+        assert out.array("n").tolist() == [FACT_ROWS]
 
     def test_sort_limit_tail(self, catalog):
         plan = Limit(Sort(Project(Scan("fact"), [("v", col("fact.v"))]),
                           [("v", True)]), 5)
         serial = execute(plan, catalog)
-        parallel = ParallelExecutor(catalog, dop=4).execute(plan)
-        assert serial.array("v").tolist() == parallel.array("v").tolist()
+        parallel = MorselExecutor(catalog, dop=4).execute(plan)
+        assert_bitwise_equal(serial, parallel)
 
     def test_self_join_falls_back_to_serial(self, catalog):
         plan = Join(Scan("fact", "a"), Scan("fact", "b"), ["a.id"], ["b.id"])
-        out = ParallelExecutor(catalog, dop=4).execute(plan)
-        assert out.num_rows == 2_000
+        out = MorselExecutor(catalog, dop=4).execute(plan)
+        assert_bitwise_equal(execute(plan, catalog), out)
+
+    def test_build_side_fact_runs_unrestricted(self, catalog):
+        # Morsel-merged output of a build-side fact table would be
+        # dim-major per morsel, not globally; the runner must not split.
+        plan = Join(Scan("dim"), Scan("fact"), ["dim.key"], ["fact.key"])
+        registry = MetricsRegistry()
+        out = MorselExecutor(catalog, dop=4, metrics=registry).execute(plan)
+        assert_bitwise_equal(execute(plan, catalog), out)
+        assert registry.counter("morsels_executed").value == 0
 
     def test_invalid_dop(self, catalog):
         with pytest.raises(ValueError):
-            ParallelExecutor(catalog, dop=0)
+            MorselExecutor(catalog, dop=0)
 
     def test_split_serial_tail(self, catalog):
         plan = Limit(Sort(Filter(Scan("fact"), col("fact.v").gt(0)),

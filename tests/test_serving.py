@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import numpy as np
@@ -330,6 +331,24 @@ class TestConcurrentExecution:
         session.sql(PREDICT_QUERY)
         pairs = session.serve_with_stats([PREDICT_QUERY] * 6, workers=3)
         assert all(stats.cache_hit for _, stats in pairs)
+
+    def test_serving_counters_survive_contention(self, session):
+        # More workers than cores and a tiny switch interval: a lost
+        # counter update would show as submitted/completed below the
+        # query count.
+        query = "SELECT pi.id FROM patient_info AS pi WHERE pi.age > 60"
+        queries = [query] * 64
+        before = session.serving_stats.snapshot()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = session.serve_outcomes(queries, workers=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(outcome.ok for outcome in outcomes)
+        after = session.serving_stats
+        assert after.submitted - before.submitted == len(queries)
+        assert after.completed - before.completed == len(queries)
 
     def test_serve_rejects_bad_workers(self, session):
         with pytest.raises(ValueError):
