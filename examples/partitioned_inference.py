@@ -25,7 +25,7 @@ def main() -> None:
     dataset.register(flat)
     flat.register_model("los_model", pipeline)
     flat_result = flat.sql(query)
-    flat_seconds = flat.last_run.wall_seconds
+    flat_seconds = flat.last_run.execute_seconds
 
     # --- Partitioned: same data, partitioned on rcount ---------------------
     partitioned = RavenSession(strategy="none")
@@ -55,7 +55,7 @@ def main() -> None:
               f"{len(graph.inputs)} inputs")
 
     part_result = partitioned.sql(query)
-    part_seconds = partitioned.last_run.wall_seconds
+    part_seconds = partitioned.last_run.execute_seconds
     assert part_result.num_rows == flat_result.num_rows
     print(f"\nscored {part_result.num_rows} rows")
     print(f"unpartitioned: {flat_seconds * 1e3:.0f} ms, "

@@ -54,7 +54,7 @@ def main() -> None:
     result = session.sql(query)
     print(f"\n{result.num_rows} high-churn-risk basic-plan customers")
     print("first rows:", result.head(3).to_rows())
-    print(f"\nexecution took {session.last_run.wall_seconds * 1e3:.1f} ms; "
+    print(f"\nexecution took {session.last_run.execute_seconds * 1e3:.1f} ms; "
           f"optimizer applied: {session.last_run.report.rules_applied}")
 
     # 5. Inspect what the optimizer did.

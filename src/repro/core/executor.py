@@ -50,7 +50,7 @@ class PredictRuntime:
         self._tensor_cpu = TensorRuntime(CpuDevice())
         self._tensor_gpu = TensorRuntime(SimulatedGpuDevice(gpu_spec))
         # Accumulated (modeled - measured) seconds for simulated devices;
-        # concurrent morsels of one call add to it under the lock.
+        # every addition goes through add_gpu_adjustment (one lock).
         self.gpu_time_adjustment = 0.0
         self._adjustment_lock = threading.Lock()
         # Optional repro.adaptive.feedback.FeedbackStore: every model
@@ -82,6 +82,11 @@ class PredictRuntime:
         clone.deadline = None
         clone.span = None
         return clone
+
+    def add_gpu_adjustment(self, seconds: float) -> None:
+        """Atomically add a batch's or a finished call's adjustment."""
+        with self._adjustment_lock:
+            self.gpu_time_adjustment += seconds
 
     def _pre_batch(self, detail: str = "") -> None:
         """Deadline check + fault hook before one inference batch."""
@@ -197,8 +202,7 @@ class PredictRuntime:
         if span is not None:
             span.finish()
         if runtime.device.simulated:
-            with self._adjustment_lock:
-                self.gpu_time_adjustment += result.seconds - measured
+            self.add_gpu_adjustment(result.seconds - measured)
         missing = [name for name in wanted if name not in result.outputs]
         if missing:
             raise ExecutionError(f"tensor program lacks outputs: {missing}")

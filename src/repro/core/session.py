@@ -15,6 +15,12 @@ Wraps catalog + parser + optimizer + executor:
         WHERE d.asthma = 1
     \"\"\")
 
+A query is routed by its circuit breaker to the adaptive or the degraded
+path; both resolve their plan through :meth:`RavenSession._resolve` and
+run it through :meth:`RavenSession._execute`, whose caller decides
+whether the run is profiled. Warm-start and checkpoint state lives in
+``session.warm`` (:class:`~repro.persist.warm.WarmState`).
+
 Per-call timing is returned by :meth:`RavenSession.sql_with_stats` (and
 mirrored into ``session.last_run`` as a best-effort alias for serial
 callers), including the modeled time adjustment for simulated-GPU
@@ -41,7 +47,7 @@ optimized plans, learned feedback, catalog statistics — survives the
 process. ``session.save_snapshot(path)`` exports it;
 ``RavenSession(warm_start=path_or_snapshot)`` starts a new worker where
 the fleet left off (plans install as their tables/models get registered,
-validated by content digest); a :class:`~repro.persist.SnapshotStore`
+validated by content digest); ``SnapshotStore.attach(session, K)``
 auto-checkpoints every K re-optimizations.
 ``RavenSession(profile_sample_rate=N)`` throttles profiling of
 fixed-point cached plans to every Nth execution.
@@ -51,7 +57,6 @@ from __future__ import annotations
 
 import threading
 import time
-import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -70,19 +75,13 @@ from repro.errors import (
     BackpressureError,
     CatalogError,
     DeadlineExceededError,
-    PersistError,
-    RavenError,
 )
 from repro.learn.pipeline import Pipeline
 from repro.onnxlite.convert import convert_pipeline
 from repro.onnxlite.graph import Graph
 from repro.onnxlite.serialize import load_graph
-from repro.persist.snapshot import (
-    Snapshot,
-    build_snapshot,
-    install_plans,
-    table_digest,
-)
+from repro.persist.snapshot import Snapshot, build_snapshot
+from repro.persist.warm import WarmState
 from repro.relational.logical import PlanNode
 from repro.relational.optimizer import RelationalOptimizer
 from repro.resilience.breaker import (
@@ -109,7 +108,7 @@ from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 from repro.telemetry import Telemetry
 from repro.telemetry.explain import render_analyze
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import CounterGroup, MetricsRegistry
 from repro.tensor.device import K80
 
 
@@ -122,13 +121,11 @@ class RunStats:
     recently finished call's stats as a best-effort alias.
 
     ``optimize_seconds`` vs ``execute_seconds`` is the per-call
-    optimize/execute breakdown (``wall_seconds`` remains the measured
-    execution wall time, identical to ``execute_seconds``, for backwards
-    compatibility); ``operator_profiles`` carries the adaptive
-    subsystem's per-operator observations for profiled (adaptive) runs.
+    optimize/execute breakdown; ``operator_profiles`` carries the
+    adaptive subsystem's per-operator observations for profiled
+    (adaptive) runs.
     """
 
-    wall_seconds: float
     gpu_adjustment_seconds: float = 0.0
     optimize_seconds: float = 0.0
     execute_seconds: float = 0.0
@@ -158,25 +155,13 @@ class RunStats:
 
     @property
     def adjusted_seconds(self) -> float:
-        """Wall time with measured simulated-device time replaced by the
-        modeled device time (what a GPU-equipped run would have taken)."""
-        return self.wall_seconds + self.gpu_adjustment_seconds
+        """Execution time with measured simulated-device time replaced by
+        the modeled device time (what a GPU-equipped run would have
+        taken)."""
+        return self.execute_seconds + self.gpu_adjustment_seconds
 
 
-def _serving_counter_property(name: str) -> property:
-    """Attribute API over a registry counter (read / assign, like the
-    dataclass attributes this class replaced); increments go through
-    :meth:`ServingStats.inc`, which is atomic."""
-    def fget(self):
-        return self._counters[name].value
-
-    def fset(self, value):
-        self._counters[name].set(value)
-
-    return property(fget, fset)
-
-
-class ServingStats:
+class ServingStats(CounterGroup):
     """Counters for session serving traffic (monotonic).
 
     ``rejected`` counts queries refused by the ``"raise"`` backpressure
@@ -191,77 +176,31 @@ class ServingStats:
     ``sql()`` calls, not just ``serve`` batches — a breaker trip is a
     breaker trip however the query arrived.
 
-    Counters live on a :class:`~repro.telemetry.metrics.MetricsRegistry`
-    as ``serving_<field>`` (the session's shared registry, so one
-    metrics snapshot or Prometheus scrape sees them); the attribute API
-    is preserved bit-for-bit by properties.
-
-    ``queries_in_flight`` is the one non-monotonic member: a gauge of
-    queries currently inside ``sql()`` (incremented on entry, decremented
-    in a ``finally`` so error paths can never wedge it high), giving the
-    metrics sampler live concurrency next to queue depth.
+    ``in_flight`` is the one non-monotonic member: a gauge of queries
+    currently inside ``sql()`` (incremented on entry, decremented in a
+    ``finally`` so error paths can never wedge it high), giving the
+    metrics sampler live concurrency next to queue depth. It is live
+    state, so equality and :meth:`snapshot` cover the counters only.
     """
 
+    PREFIX = "serving_"
     FIELDS = ("submitted", "completed", "rejected", "failed", "retries",
               "deadline_exceeded", "degraded_runs", "expression_fallbacks",
               "breaker_trips", "breaker_reopens", "breaker_half_opens",
               "breaker_closes")
 
-    __slots__ = ("_counters", "in_flight")
+    __slots__ = ("in_flight",)
 
-    def __init__(self, submitted: int = 0, completed: int = 0,
-                 rejected: int = 0, failed: int = 0, retries: int = 0,
-                 deadline_exceeded: int = 0, degraded_runs: int = 0,
-                 expression_fallbacks: int = 0, breaker_trips: int = 0,
-                 breaker_reopens: int = 0, breaker_half_opens: int = 0,
-                 breaker_closes: int = 0, queries_in_flight: int = 0,
-                 registry: Optional[MetricsRegistry] = None):
+    def __init__(self, registry: Optional[MetricsRegistry] = None,
+                 **values: int):
         if registry is None:
             registry = MetricsRegistry()
-        values = (submitted, completed, rejected, failed, retries,
-                  deadline_exceeded, degraded_runs, expression_fallbacks,
-                  breaker_trips, breaker_reopens, breaker_half_opens,
-                  breaker_closes)
-        self._counters = {}
-        for name, value in zip(self.FIELDS, values):
-            counter = registry.counter(f"serving_{name}")
-            if value:
-                counter.inc(value)
-            self._counters[name] = counter
+        super().__init__(registry, **values)
         self.in_flight = registry.gauge("serving_queries_in_flight")
-        if queries_in_flight:
-            self.in_flight.set(queries_in_flight)
 
     @property
     def queries_in_flight(self) -> int:
         return self.in_flight.value
-
-    def inc(self, name: str, amount: int = 1) -> None:
-        """Atomically add ``amount`` to the ``name`` counter."""
-        self._counters[name].inc(amount)
-
-    def _values(self) -> Tuple[int, ...]:
-        return tuple(self._counters[name].value for name in self.FIELDS)
-
-    def snapshot(self) -> "ServingStats":
-        return ServingStats(*self._values(),
-                            queries_in_flight=self.queries_in_flight)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ServingStats):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={value}" for name, value
-                          in zip(self.FIELDS, self._values()))
-        return (f"ServingStats({inner}, "
-                f"queries_in_flight={self.queries_in_flight})")
-
-
-for _field in ServingStats.FIELDS:
-    setattr(ServingStats, _field, _serving_counter_property(_field))
-del _field
 
 
 class RavenSession:
@@ -341,7 +280,6 @@ class RavenSession:
             # Re-home the cache's counters onto the session registry so
             # one snapshot sees cache + serving + latency together.
             self.plan_cache.stats.bind(self.telemetry.metrics)
-        self._stats_lock = threading.Lock()
         # Thread-local retry context: _attempt_query stamps the attempt
         # number here so the query trace can carry it.
         self._attempt_context = threading.local()
@@ -353,23 +291,8 @@ class RavenSession:
         if profile_sample_rate is not None and profile_sample_rate < 1:
             raise ValueError("profile_sample_rate must be >= 1")
         self.profile_sample_rate = profile_sample_rate
-        # Warm start (repro.persist): plans/statistics from a snapshot
-        # install lazily as their dependencies get registered. The origin
-        # id identifies this session's snapshots across its checkpoints
-        # (a fleet union merges only the newest snapshot per origin).
-        self._persist_origin = uuid.uuid4().hex[:12]
-        # Origins whose feedback this session imported (warm starts):
-        # exported in snapshots so a fleet merge never counts an
-        # ancestor's observations twice through a warm-started child.
-        self._persist_ancestors: set = set()
-        self._warm_lock = threading.Lock()
-        self._warm_install_lock = threading.Lock()
-        self._warm_plans: List[dict] = []
-        self._warm_stats: Dict[str, dict] = {}
-        self._warm_listening = False
-        self._snapshot_store = None
-        self._checkpoint_every = 0
-        self._checkpointed_reopts = 0
+        # Warm-start lineage, pending snapshot state and checkpointing.
+        self.warm = WarmState(self)
         if warm_start is not None:
             self.load_snapshot(warm_start)
 
@@ -449,147 +372,7 @@ class RavenSession:
         Returns a summary dict: ``plans_installed`` / ``plans_pending`` /
         ``plans_dropped`` / ``feedback_operators`` / ``tables_with_stats``.
         """
-        if not isinstance(snapshot, Snapshot):
-            snapshot = Snapshot.load(snapshot)
-        summary = {"plans_installed": 0, "plans_pending": 0,
-                   "plans_dropped": 0, "feedback_operators": 0,
-                   "tables_with_stats": 0}
-        if snapshot.feedback is not None and self.feedback is not None:
-            # merge_state validates the whole payload before folding
-            # anything in (all-or-nothing), so a malformed feedback
-            # export degrades to "no feedback" — plans and statistics
-            # still load — instead of crashing the constructor.
-            try:
-                self.feedback.merge_state(snapshot.feedback)
-                summary["feedback_operators"] = len(
-                    snapshot.feedback.get("operators", {}))
-                if snapshot.origin:
-                    self._persist_ancestors.add(snapshot.origin)
-                self._persist_ancestors.update(snapshot.ancestors)
-            except PersistError:
-                pass
-        summary["tables_with_stats"] = len(snapshot.table_stats)
-        with self._warm_lock:
-            self._warm_stats.update(snapshot.table_stats)
-            if self.plan_cache is not None:
-                self._warm_plans.extend(snapshot.plans)
-        # Subscribe *before* the initial install pass (and after the plan
-        # cache's invalidation hook, so a registration first invalidates,
-        # then installs): a registration landing between the pass and a
-        # later subscription would otherwise leave its plans pending
-        # forever. catalog.subscribe is idempotent.
-        if not self._warm_listening:
-            self.catalog.subscribe(self._on_warm_catalog_change)
-            self._warm_listening = True
-        for name in self.catalog.table_names:
-            self._augment_warm_stats(name)
-        installed, dropped = self._install_warm_plans()
-        summary["plans_installed"] = installed
-        summary["plans_dropped"] = dropped
-        with self._warm_lock:
-            summary["plans_pending"] = len(self._warm_plans)
-        return summary
-
-    def _on_warm_catalog_change(self, kind: str, name: str) -> None:
-        if kind == "table":
-            self._augment_warm_stats(name)
-        self._install_warm_plans()
-
-    def _augment_warm_stats(self, name: str) -> None:
-        """Apply a snapshot's statistics to a freshly registered table.
-
-        Only fills fields live collection left unknown, and only when the
-        table's content digest still matches the snapshot's — statistics
-        from a different schema must never leak in. Applied (or
-        discarded) once per table.
-        """
-        from repro.storage.statistics import TableStats
-
-        with self._warm_lock:
-            payload = self._warm_stats.get(name)
-        if payload is None or not self.catalog.has_table(name):
-            return
-        if table_digest(self.catalog.table(name)) == payload.get("digest"):
-            try:
-                stats = TableStats.from_dict(payload["stats"])
-            except (KeyError, TypeError, ValueError):
-                stats = None
-            if stats is not None:
-                self.catalog.augment_stats(name, stats)
-            try:
-                partition_stats = [TableStats.from_dict(part) for part
-                                   in payload.get("partitions") or []]
-            except (KeyError, TypeError, ValueError):
-                partition_stats = []
-            if partition_stats:
-                # Matching digest means matching content, and
-                # partitioning is a pure function of content — the
-                # layout check inside is just belt and braces.
-                self.catalog.augment_partition_stats(name, partition_stats)
-        with self._warm_lock:
-            self._warm_stats.pop(name, None)
-
-    def _install_warm_plans(self) -> Tuple[int, int]:
-        """Try installing pending snapshot plans; ``(installed, dropped)``.
-
-        Serialized by ``_warm_install_lock`` so a concurrent registration
-        cannot observe an empty pending list mid-install and skip entries
-        that just became ready. Only lock-free catalog reads happen under
-        the lock (no catalog-lock inversion with the change listener).
-        """
-        if self.plan_cache is None:
-            return 0, 0
-        with self._warm_install_lock:
-            with self._warm_lock:
-                pending = self._warm_plans
-                self._warm_plans = []
-            if not pending:
-                return 0, 0
-            installed, still_pending, dropped = install_plans(
-                self.plan_cache, self.catalog, pending)
-            with self._warm_lock:
-                self._warm_plans = still_pending + self._warm_plans
-        return installed, dropped
-
-    def attach_snapshot_store(self, store,
-                              every_reoptimizations: int = 8) -> None:
-        """Auto-checkpoint into ``store`` every K re-optimizations.
-
-        Every K adaptive re-optimizations — the moments cached plans
-        actually changed — the session writes a fresh snapshot through
-        the :class:`~repro.persist.SnapshotStore`.
-        """
-        if every_reoptimizations < 1:
-            raise ValueError("every_reoptimizations must be >= 1")
-        self._checkpointed_reopts = (
-            self.plan_cache.stats.reoptimizations
-            if self.plan_cache is not None else 0)
-        self._checkpoint_every = every_reoptimizations
-        self._snapshot_store = store
-
-    def detach_snapshot_store(self) -> None:
-        self._snapshot_store = None
-
-    def _maybe_checkpoint(self) -> None:
-        store = self._snapshot_store
-        if store is None or self.plan_cache is None:
-            return
-        reoptimizations = self.plan_cache.stats.reoptimizations
-        with self._stats_lock:
-            previous = self._checkpointed_reopts
-            if reoptimizations - previous < self._checkpoint_every:
-                return
-            self._checkpointed_reopts = reoptimizations
-        try:
-            store.save(self)
-        except (OSError, RavenError):
-            # Checkpoints are best-effort: a full disk, or a concurrent
-            # drop_table racing build_snapshot's catalog reads, must not
-            # fail the serving call that crossed the threshold.
-            # Un-claim the counter so a later crossing retries.
-            with self._stats_lock:
-                if self._checkpointed_reopts == reoptimizations:
-                    self._checkpointed_reopts = previous
+        return self.warm.load(snapshot)
 
     # ------------------------------------------------------------------
     # Planning
@@ -624,13 +407,48 @@ class RavenSession:
             return plan, OptimizationReport()
         return self._optimizer(static=static).optimize(bound)
 
-    def _plan_for(self, query: str, normalized=None, deadline=None,
-                  span=None):
+    def _resolve(self, query: str, normalized, deadline=None, trace=None,
+                 static: bool = False):
+        """Resolve ``query``'s plan under a timed ``optimize`` span: via
+        the plan cache (:meth:`_plan_for`) or, with ``static``, the open
+        breaker's static re-optimization (no learned annotation; cached
+        on the breaker entry, version-validated like any cached plan).
+        Returns ``(plan, report, cache_hit, entry, optimize_seconds)``."""
+        started = time.perf_counter()
+        span = (trace.root.child("optimize", category="optimize",
+                                 static=static)
+                if trace is not None else None)
+        try:
+            if not static:
+                plan, report, cache_hit, entry = self._plan_for(
+                    query, normalized, deadline, span)
+            else:
+                cache_hit = False
+                entry = self.breakers.static_entry(normalized.key,
+                                                   self.catalog)
+                if entry is None:
+                    if span is not None:
+                        span.event("cache.miss")
+                    entry = self._optimize_to_entry(query, normalized,
+                                                    deadline, static=True)
+                    self.breakers.set_static_entry(normalized.key, entry)
+                elif span is not None:
+                    span.event("cache.hit")
+                plan, report = entry.plan, entry.report
+        except BaseException:
+            if span is not None:
+                span.finish(status="error")
+            raise
+        if span is not None:
+            span.finish(cache_hit=cache_hit)
+        return plan, report, cache_hit, entry, time.perf_counter() - started
+
+    def _plan_for(self, query: str, normalized, deadline=None, span=None):
         """Resolve a query through the cache.
 
-        Returns ``(plan, report, cache_hit, key, entry)`` — ``key``/
-        ``entry`` are None when the cache is disabled; the adaptive
-        staleness check uses them after execution.
+        Returns ``(plan, report, cache_hit, entry)``. ``normalized`` is
+        None exactly when the cache is disabled; ``entry`` is then None
+        too (the adaptive staleness check uses it after execution).
 
         Concurrent misses for the same normalized key are single-flighted:
         the first caller optimizes while the others wait on the in-flight
@@ -644,49 +462,40 @@ class RavenSession:
         entry's recorded versions no longer match the live catalog and the
         next lookup discards it instead of serving a stale plan.
         """
-        if self.plan_cache is None:
+        if normalized is None:
             if deadline is not None:
                 deadline.check("plan optimization")
             plan, report = self.optimize(query)
-            return plan, report, False, None, None
-        if normalized is None:
-            normalized = normalize_query(query)
-        entry, flight, owner = self.plan_cache.begin(normalized.key, self.catalog)
-        if entry is not None:
-            if span is not None:
-                span.event("cache.hit")
-            return entry.plan, entry.report, True, normalized.key, entry
-        if not owner:
+            return plan, report, False, None
+        cache = self.plan_cache
+        entry, flight, owner = cache.begin(normalized.key, self.catalog)
+        hit_event = "cache.hit"
+        if entry is None and not owner:
             if span is not None:
                 span.event("cache.join")
-            if deadline is not None:
-                entry = self.plan_cache.join(
-                    flight, self.catalog,
-                    timeout=deadline.bound(self.plan_cache.join_timeout))
-            else:
-                entry = self.plan_cache.join(flight, self.catalog)
-            if entry is not None:
-                if span is not None:
-                    span.event("cache.coalesced")
-                return entry.plan, entry.report, True, normalized.key, entry
-            # Owner failed, timed out, or its entry was invalidated:
-            # optimize here.
+            timeout = (deadline.bound(cache.join_timeout)
+                       if deadline is not None else cache.join_timeout)
+            entry = cache.join(flight, self.catalog, timeout=timeout)
+            hit_event = "cache.coalesced"
+        if entry is not None:
             if span is not None:
-                span.event("cache.miss")
-            entry = self._optimize_to_entry(query, normalized,
-                                            deadline=deadline)
-            self.plan_cache.put(normalized.key, entry)
-            return entry.plan, entry.report, False, normalized.key, entry
+                span.event(hit_event)
+            return entry.plan, entry.report, True, entry
+        # A miss: this caller owns the flight, or the owner failed, timed
+        # out, or had its entry invalidated. Optimize here and publish.
         if span is not None:
             span.event("cache.miss")
         try:
-            entry = self._optimize_to_entry(query, normalized,
-                                            deadline=deadline)
+            entry = self._optimize_to_entry(query, normalized, deadline)
         except BaseException:
-            self.plan_cache.complete(flight, None)
+            if owner:
+                cache.complete(flight, None)
             raise
-        self.plan_cache.complete(flight, entry)
-        return entry.plan, entry.report, False, normalized.key, entry
+        if owner:
+            cache.complete(flight, entry)
+        else:
+            cache.put(normalized.key, entry)
+        return entry.plan, entry.report, False, entry
 
     def _optimize_to_entry(self, query: str, normalized, deadline=None,
                            static: bool = False) -> CachedPlan:
@@ -698,12 +507,7 @@ class RavenSession:
         stmt = parse(query)
         deps = query_dependencies(stmt)
         versions = dependency_versions(self.catalog, deps.tables, deps.models)
-        # Pass the kwarg only when needed: callers (and tests) may wrap
-        # _optimize_stmt with a single-statement callable.
-        if static:
-            plan, report = self._optimize_stmt(stmt, static=True)
-        else:
-            plan, report = self._optimize_stmt(stmt)
+        plan, report = self._optimize_stmt(stmt, static=static)
         return CachedPlan(
             template=normalized.template,
             params=normalized.params,
@@ -722,44 +526,24 @@ class RavenSession:
         plan is annotated with *observed* per-operator rows in/out,
         selectivity, and self-time, plus the serving context that
         produced it: cache hit/miss, circuit-breaker state, plan
-        fingerprint, and compile-vs-reuse counts.
+        fingerprint, and compile-vs-reuse counts. Profiling is forced on,
+        and the run bypasses the breaker board: an EXPLAIN must not
+        consume a half-open breaker's trial slot.
         """
-        if analyze:
-            return self._explain_analyze(query)
-        plan, report = self.optimize(query)
-        return plan.pretty(self.catalog) + "\n-- " + \
-            report.summary().replace("\n", "\n-- ")
-
-    def _explain_analyze(self, query: str) -> str:
-        """Execute ``query`` with profiling forced on and render the
-        observed plan. Goes through the plan cache (so the rendering
-        reflects real serving state) but not the breaker board — an
-        EXPLAIN must not consume a half-open breaker's trial slot."""
+        if not analyze:
+            return self.prepare(query).explain()
         normalized = (normalize_query(query)
                       if self.plan_cache is not None else None)
-        optimize_started = time.perf_counter()
-        plan, report, cache_hit, _key, _entry = self._plan_for(
-            query, normalized=normalized)
-        optimize_seconds = time.perf_counter() - optimize_started
-        _table, stats = self._execute(
-            plan, report, optimize_seconds, cache_hit=cache_hit,
-            profile=True, force_profile=True,
-            record_feedback=self.adaptive)
-        breaker_state = None
-        if self.breakers is not None and normalized is not None:
-            breaker_state = self.breakers.state(normalized.key)
-        info = {
-            "cache_hit": cache_hit,
-            "static_plan": stats.static_plan,
-            "breaker_state": breaker_state,
-            "plan_fingerprint": stats.plan_fingerprint,
-            "optimize_seconds": optimize_seconds,
-            "execute_seconds": stats.execute_seconds,
-            "programs_compiled": stats.programs_compiled,
-            "programs_reused": stats.programs_reused,
-            "expression_fallbacks": stats.expression_fallbacks,
-        }
-        return render_analyze(stats.operator_profiles, info=info,
+        plan, report, cache_hit, _entry, optimize_seconds = self._resolve(
+            query, normalized)
+        _table, stats = self._execute(plan, report, optimize_seconds,
+                                      cache_hit, profiler=PlanProfiler())
+        breaker_state = (self.breakers.state(normalized.key)
+                         if self.breakers is not None and normalized is not None
+                         else None)
+        return render_analyze(stats.operator_profiles,
+                              info=dict(vars(stats),
+                                        breaker_state=breaker_state),
                               report=report)
 
     def to_sql_server(self, query: str) -> str:
@@ -804,7 +588,7 @@ class RavenSession:
         """
         deadline = Deadline.coerce(deadline)
         telemetry = self.telemetry
-        trace = telemetry.start_trace(query) if telemetry.enabled else None
+        trace = telemetry.start_trace(query)
         if trace is not None:
             attempt = getattr(self._attempt_context, "attempt", None)
             if attempt is not None:
@@ -814,27 +598,22 @@ class RavenSession:
         # (breaker raise, deadline, executor fault) can wedge it high.
         self.serving_stats.in_flight.inc()
         try:
-            try:
-                table, stats = self._sql_routed(query, deadline, trace)
-            except BaseException as error:
-                if telemetry.enabled:
-                    if trace is not None:
-                        telemetry.tracer.finish(trace, status="error",
-                                                error=error)
-                    telemetry.observe_query(
-                        query, time.perf_counter() - started, trace=trace,
-                        error=error)
-                raise
+            table, stats = self._sql_routed(query, deadline, trace)
+        except BaseException as error:
+            if trace is not None:
+                telemetry.tracer.finish(trace, status="error", error=error)
+            telemetry.observe_query(query, time.perf_counter() - started,
+                                    trace=trace, error=error)
+            raise
         finally:
             self.serving_stats.in_flight.dec()
-        if telemetry.enabled:
-            if trace is not None:
-                trace.root.set(cache_hit=stats.cache_hit,
-                               static_plan=stats.static_plan,
-                               plan_fingerprint=stats.plan_fingerprint)
-                telemetry.tracer.finish(trace)
-            telemetry.observe_query(query, time.perf_counter() - started,
-                                    stats=stats, trace=trace)
+        if trace is not None:
+            trace.root.set(cache_hit=stats.cache_hit,
+                           static_plan=stats.static_plan,
+                           plan_fingerprint=stats.plan_fingerprint)
+            telemetry.tracer.finish(trace)
+        telemetry.observe_query(query, time.perf_counter() - started,
+                                stats=stats, trace=trace)
         return table, stats
 
     def _sql_routed(self, query: str, deadline: Optional[Deadline],
@@ -842,57 +621,51 @@ class RavenSession:
         """Route one query: breaker admission, then the adaptive path or
         the degraded static one. Breaker transitions land on the trace
         root as events."""
+        normalized = (normalize_query(query)
+                      if self.plan_cache is not None else None)
         key = None
         route = None
-        normalized = None
-        if self.breakers is not None and self.plan_cache is not None:
-            normalized = normalize_query(query)
+        if self.breakers is not None and normalized is not None:
             key = normalized.key
             route = self.breakers.acquire(key)
             if route == ROUTE_TRIAL:
                 self.serving_stats.inc("breaker_half_opens")
                 if trace is not None:
                     trace.root.event("breaker.trial")
-            elif route == ROUTE_DEGRADED:
-                if trace is not None:
-                    trace.root.event("breaker.degraded")
-                return self._sql_degraded(query, normalized, deadline,
-                                          trace=trace)
+            elif route == ROUTE_DEGRADED and trace is not None:
+                trace.root.event("breaker.degraded")
         try:
-            table, stats = self._sql_adaptive(query, deadline, normalized,
-                                              trace=trace)
+            if route == ROUTE_DEGRADED:
+                # Served from the static re-optimization, never profiled:
+                # feedback must keep describing the adaptive path the
+                # half-open trial will retest.
+                self.serving_stats.inc("degraded_runs")
+                plan, report, _hit, _entry, seconds = self._resolve(
+                    query, normalized, deadline, trace, static=True)
+                table, stats = self._execute(plan, report, seconds,
+                                             deadline=deadline, trace=trace)
+                stats.static_plan = True
+                return table, stats
+            table, stats = self._sql_adaptive(query, normalized, deadline,
+                                              trace)
         except BaseException as error:
-            self._breaker_outcome(key, route, error, trace=trace)
             if isinstance(error, DeadlineExceededError):
                 self.serving_stats.inc("deadline_exceeded")
+            self._breaker_outcome(key, route, error, trace=trace)
             raise
         self._breaker_outcome(key, route, None, trace=trace)
         return table, stats
 
-    def _sql_adaptive(self, query: str, deadline, normalized, trace=None
+    def _sql_adaptive(self, query: str, normalized, deadline, trace=None
                       ) -> Tuple[Table, RunStats]:
         """The ordinary (non-degraded) plan-cache + adaptive-loop path."""
-        optimize_started = time.perf_counter()
-        span = (trace.root.child("optimize", category="optimize")
-                if trace is not None else None)
-        try:
-            plan, report, cache_hit, key, entry = self._plan_for(
-                query, normalized=normalized, deadline=deadline, span=span)
-        except BaseException:
-            if span is not None:
-                span.finish(status="error")
-            raise
-        if span is not None:
-            span.finish(cache_hit=cache_hit)
-        optimize_seconds = time.perf_counter() - optimize_started
+        plan, report, cache_hit, entry, optimize_seconds = self._resolve(
+            query, normalized, deadline, trace)
         table, stats = self._execute(plan, report, optimize_seconds,
-                                     cache_hit=cache_hit,
-                                     profile=self._should_profile(entry,
-                                                                  cache_hit),
+                                     cache_hit,
+                                     self._profiler_for(entry, cache_hit),
                                      deadline=deadline, trace=trace)
-        if (entry is not None and self.adaptive
-                and stats.operator_profiles is not None
-                and self.plan_cache is not None):
+        if entry is not None and stats.operator_profiles is not None:
             # Stale = the feedback passes would now produce a different
             # plan, or an operator's recent behaviour has drifted from
             # its long-run average (EWMA drift signal) — either way the
@@ -904,7 +677,7 @@ class RavenSession:
             if drifted or feedback_divergence(entry.plan, self.feedback,
                                               self.runtime.batch_size,
                                               self.catalog):
-                if self.plan_cache.mark_stale(key, entry) \
+                if self.plan_cache.mark_stale(normalized.key, entry) \
                         and trace is not None:
                     trace.root.event("plan.stale", drifted=len(drifted))
                 for fingerprint in drifted:
@@ -916,50 +689,7 @@ class RavenSession:
                 # the right moment to auto-checkpoint — the cache holds
                 # the *replacement* plan, not the just-dropped stale one.
                 entry.fixed_point = True
-                self._maybe_checkpoint()
-        return table, stats
-
-    def _sql_degraded(self, query: str, normalized, deadline, trace=None
-                      ) -> Tuple[Table, RunStats]:
-        """Serve an open-breaker query from its static re-optimization.
-
-        The static plan trusts no learned annotation and is cached on the
-        breaker entry (dependency-version validated, like any cached
-        plan). Degraded runs never profile: feedback must keep describing
-        the adaptive path the half-open trial will retest.
-        """
-        self.serving_stats.inc("degraded_runs")
-        optimize_started = time.perf_counter()
-        span = (trace.root.child("optimize", category="optimize",
-                                 static=True)
-                if trace is not None else None)
-        try:
-            entry = self.breakers.static_entry(normalized.key, self.catalog)
-            if entry is None:
-                if span is not None:
-                    span.event("cache.miss")
-                entry = self._optimize_to_entry(query, normalized,
-                                                deadline=deadline,
-                                                static=True)
-                self.breakers.set_static_entry(normalized.key, entry)
-            elif span is not None:
-                span.event("cache.hit")
-        except BaseException:
-            if span is not None:
-                span.finish(status="error")
-            raise
-        if span is not None:
-            span.finish()
-        optimize_seconds = time.perf_counter() - optimize_started
-        try:
-            table, stats = self._execute(entry.plan, entry.report,
-                                         optimize_seconds, cache_hit=False,
-                                         profile=False, deadline=deadline,
-                                         trace=trace)
-        except DeadlineExceededError:
-            self.serving_stats.inc("deadline_exceeded")
-            raise
-        stats.static_plan = True
+                self.warm.maybe_checkpoint()
         return table, stats
 
     def _breaker_outcome(self, key, route, error, trace=None) -> None:
@@ -969,9 +699,9 @@ class RavenSession:
         expiry — a plan that repeatedly blows its deadline deserves
         tripping) and internal defects; admission rejections
         (BackpressureError) and BaseExceptions like KeyboardInterrupt
-        never count.
+        never count. Degraded (static) runs report nothing.
         """
-        if key is None or self.breakers is None:
+        if key is None or route == ROUTE_DEGRADED:
             return
         trial = route == ROUTE_TRIAL
         if error is None:
@@ -992,19 +722,22 @@ class RavenSession:
         elif event == EVENT_CLOSED:
             self.serving_stats.inc("breaker_closes")
 
-    def _should_profile(self, entry, cache_hit: bool) -> bool:
-        """Sampled re-profiling gate (True = profile this execution).
+    def _profiler_for(self, entry=None, cache_hit: bool = False
+                      ) -> Optional[PlanProfiler]:
+        """The profiler for one execution, or None not to profile.
 
-        Without a ``profile_sample_rate``, every adaptive execution
-        profiles (the PR-3 behaviour). With one, only *fixed-point*
+        Only adaptive sessions profile. Without a ``profile_sample_rate``
+        every adaptive execution profiles. With one, only *fixed-point*
         cached plans are throttled — every Nth hit still profiles, so
         EWMA drift detection keeps firing, just on a sample.
         """
+        if not self.adaptive:
+            return None
         rate = self.profile_sample_rate
         if (rate is None or rate <= 1 or entry is None or not cache_hit
-                or not entry.fixed_point):
-            return True
-        return entry.hits % rate == 0
+                or not entry.fixed_point or entry.hits % rate == 0):
+            return PlanProfiler()
+        return None
 
     def _drifted_fingerprints(self, root: OperatorProfile) -> List[str]:
         """Profiled operator/conjunct fingerprints tripping drift."""
@@ -1162,8 +895,7 @@ class RavenSession:
         query's deadline, and jitter is deterministic per (policy seed,
         salt) so a serve batch's retry schedule is reproducible.
         """
-        if deadline is not None and not isinstance(deadline, Deadline):
-            deadline = Deadline.after(float(deadline))
+        deadline = Deadline.coerce(deadline)
         rng = retry.rng(salt) if retry is not None else None
         attempts = 0
         slept = 0.0
@@ -1171,13 +903,7 @@ class RavenSession:
             attempts += 1
             self._attempt_context.attempt = attempts
             try:
-                # Only pass the kwarg when set: callers (and tests) may
-                # wrap sql_with_stats with a single-argument callable.
-                if deadline is not None:
-                    table, stats = self.sql_with_stats(query,
-                                                       deadline=deadline)
-                else:
-                    table, stats = self.sql_with_stats(query)
+                table, stats = self.sql_with_stats(query, deadline=deadline)
             except Exception as error:
                 can_retry = (retry is not None
                              and attempts < retry.max_attempts
@@ -1218,25 +944,21 @@ class RavenSession:
 
     def execute_plan(self, plan: PlanNode) -> Table:
         """Execute an already-optimized plan."""
-        return self._execute(plan, None, 0.0)[0]
+        return self._execute(plan, None, 0.0,
+                             profiler=self._profiler_for())[0]
 
     def _execute(self, plan: PlanNode, report: Optional[OptimizationReport],
                  optimize_seconds: float, cache_hit: bool = False,
-                 profile: bool = True,
+                 profiler: Optional[PlanProfiler] = None,
                  deadline: Optional[Deadline] = None,
-                 trace=None, force_profile: bool = False,
-                 record_feedback: bool = True
-                 ) -> Tuple[Table, RunStats]:
+                 trace=None) -> Tuple[Table, RunStats]:
+        """Run ``plan`` under the caller's ``profiler`` (None = no
+        profile); an adaptive session folds the profile into its
+        feedback store."""
         # Per-call runtime view: shares the inference-session and compiled-
         # program caches but keeps partition dispatch and GPU-time
         # accounting local, so concurrent calls never interleave state.
         runtime = self.runtime.for_call()
-        # force_profile (EXPLAIN ANALYZE) profiles even for adaptive=False
-        # sessions; record_feedback then gates whether the observations
-        # feed the adaptive loop.
-        profiler = (PlanProfiler()
-                    if ((self.adaptive or force_profile) and profile)
-                    else None)
         span = (trace.root.child("execute", category="execute")
                 if trace is not None else None)
         executor = QueryExecutor(self.catalog, runtime, dop=self.dop,
@@ -1256,17 +978,15 @@ class RavenSession:
         if span is not None:
             span.finish(rows=result.num_rows)
         fallbacks = executor.exec_stats.expression_fallbacks
-        with self._stats_lock:
-            self.runtime.gpu_time_adjustment += runtime.gpu_time_adjustment
+        self.runtime.add_gpu_adjustment(runtime.gpu_time_adjustment)
         if fallbacks:
             self.serving_stats.inc("expression_fallbacks", fallbacks)
         profiles: Optional[OperatorProfile] = None
         if profiler is not None:
             profiles = profiler.profile_tree(plan)
-            if record_feedback and self.feedback is not None:
+            if self.adaptive and self.feedback is not None:
                 self.feedback.record_profile(profiles)
         stats = RunStats(
-            wall_seconds=wall,
             gpu_adjustment_seconds=runtime.gpu_time_adjustment,
             optimize_seconds=optimize_seconds,
             execute_seconds=wall,
@@ -1299,11 +1019,13 @@ class PreparedQuery:
 
     def execute(self) -> Table:
         """Run the prepared plan (no re-optimization)."""
-        return self.session._execute(self.plan, self.report, 0.0)[0]
+        return self.execute_with_stats()[0]
 
     def execute_with_stats(self) -> Tuple[Table, RunStats]:
         """Run the prepared plan, returning this call's stats."""
-        return self.session._execute(self.plan, self.report, 0.0)
+        session = self.session
+        return session._execute(self.plan, self.report, 0.0,
+                                profiler=session._profiler_for())
 
     def optimized_graphs(self) -> List[Graph]:
         """The post-optimization pipeline graphs still in the plan.

@@ -14,7 +14,12 @@ This package makes the warm state a durable, shareable asset:
   the FeedbackStore's exported state, and per-table statistics;
 * :mod:`~repro.persist.store` — :class:`SnapshotStore`, a rotating
   checkpoint directory serving workers save into and new workers
-  warm-start from (``load_merged`` unions the fleet's snapshots).
+  warm-start from (``load_merged`` unions the fleet's snapshots);
+* :mod:`~repro.persist.warm` — :class:`WarmState`, the per-session
+  persistence state (``session.warm``): snapshot lineage, plans and
+  statistics pending registration, and the auto-checkpoint claim.
+  Snapshot export, the shard router and the store read and set it
+  there, never through session internals.
 
 Entry points on the session::
 

@@ -183,13 +183,11 @@ def build_snapshot(session) -> Snapshot:
     plans carry unserializable payloads, are skipped — a snapshot is a
     best-effort warm-state export, never a correctness requirement.
     """
-    snapshot = Snapshot(
-        origin=getattr(session, "_persist_origin", None),
-        ancestors=sorted(getattr(session, "_persist_ancestors", ())),
-    )
+    snapshot = Snapshot(origin=session.warm.origin,
+                        ancestors=sorted(session.warm.ancestors))
     catalog = session.catalog
     digests = _DigestCache(catalog)
-    if getattr(session, "feedback", None) is not None:
+    if session.feedback is not None:
         snapshot.feedback = session.feedback.export_state()
     for name in catalog.table_names:
         try:
@@ -208,7 +206,7 @@ def build_snapshot(session) -> Snapshot:
             snapshot.table_stats[name] = payload
         except RavenError:
             continue  # dropped concurrently: skip, don't fail the export
-    if getattr(session, "plan_cache", None) is None:
+    if session.plan_cache is None:
         return snapshot
     for key, entry in session.plan_cache.entries():
         dependencies: Dict[str, str] = {}

@@ -221,10 +221,16 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def attach(self, session, every_reoptimizations: int = 8) -> None:
         """Checkpoint ``session`` every K adaptive re-optimizations."""
-        session.attach_snapshot_store(self, every_reoptimizations)
+        if every_reoptimizations < 1:
+            raise ValueError("every_reoptimizations must be >= 1")
+        warm = session.warm
+        warm.checkpointed = (session.plan_cache.stats.reoptimizations
+                             if session.plan_cache is not None else 0)
+        warm.checkpoint_every = every_reoptimizations
+        warm.store = self
 
     def detach(self, session) -> None:
-        session.detach_snapshot_store()
+        session.warm.store = None
 
     def __repr__(self) -> str:
         return (f"SnapshotStore({str(self.directory)!r}, "

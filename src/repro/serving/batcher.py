@@ -98,24 +98,16 @@ class MicroBatcher:
         self.max_batch_rows = max_batch_rows
         self.max_delay = max_delay
         self.stats = BatcherStats()
-        # Telemetry (when the session carries a repro.telemetry.Telemetry):
-        # live queue-depth gauges and a coalesced-batch-size histogram on
-        # the session's shared registry, plus a per-batch trace when
-        # tracing is enabled — closing the blind spot between submit and
-        # future resolution.
-        telemetry = getattr(session, "telemetry", None)
-        if telemetry is not None:
-            metrics = telemetry.metrics
-            self._queue_rows_gauge = metrics.gauge("batcher_queue_rows")
-            self._queue_requests_gauge = metrics.gauge(
-                "batcher_queue_requests")
-            self._batch_rows_hist = metrics.histogram(
-                "batcher_batch_rows",
-                bounds=[float(2 ** power) for power in range(18)])
-        else:
-            self._queue_rows_gauge = None
-            self._queue_requests_gauge = None
-            self._batch_rows_hist = None
+        # Telemetry: live queue-depth gauges and a coalesced-batch-size
+        # histogram on the session's shared registry, plus a per-batch
+        # trace when tracing is enabled — closing the blind spot between
+        # submit and future resolution.
+        metrics = session.telemetry.metrics
+        self._queue_rows_gauge = metrics.gauge("batcher_queue_rows")
+        self._queue_requests_gauge = metrics.gauge("batcher_queue_requests")
+        self._batch_rows_hist = metrics.histogram(
+            "batcher_batch_rows",
+            bounds=[float(2 ** power) for power in range(18)])
         self._graphs: Dict[str, object] = {}
         # Names resolved from the catalog (vs. explicit register_endpoint);
         # these are dropped when the underlying model is re-registered so
@@ -164,7 +156,7 @@ class MicroBatcher:
         """
         if self.max_batch_rows is not None:
             return self.max_batch_rows
-        feedback = getattr(self.session, "feedback", None)
+        feedback = self.session.feedback
         per_row = (feedback.predict_per_row_cost(model)
                    if feedback is not None else None)
         if per_row is None or per_row <= 0.0:
@@ -223,27 +215,28 @@ class MicroBatcher:
                 self._oldest = time.monotonic()
             self.stats.requests += 1
             self.stats.rows += request.rows
-            if self._queue_rows_gauge is not None:
-                self._queue_rows_gauge.inc(request.rows)
-                self._queue_requests_gauge.inc()
+            self._queue_rows_gauge.inc(request.rows)
+            self._queue_requests_gauge.inc()
             self._condition.notify_all()
         return future
 
     # ------------------------------------------------------------------
     # Flushing
     # ------------------------------------------------------------------
+    def _drain(self) -> Dict[str, List[_Request]]:
+        """Empty the queues (caller holds ``_condition``)."""
+        drained = {name: reqs for name, reqs in self._queues.items() if reqs}
+        self._queues = {}
+        self._oldest = None
+        requests = [request for reqs in drained.values() for request in reqs]
+        self._queue_rows_gauge.dec(sum(request.rows for request in requests))
+        self._queue_requests_gauge.dec(len(requests))
+        return drained
+
     def flush(self) -> int:
         """Drain all pending requests now; returns batches executed."""
         with self._condition:
-            drained = {name: reqs for name, reqs in self._queues.items() if reqs}
-            self._queues = {}
-            self._oldest = None
-            if self._queue_rows_gauge is not None and drained:
-                self._queue_rows_gauge.dec(
-                    sum(request.rows for requests in drained.values()
-                        for request in requests))
-                self._queue_requests_gauge.dec(
-                    sum(len(requests) for requests in drained.values()))
+            drained = self._drain()
         executed = 0
         for model, requests in drained.items():
             self._execute_batch(model, requests)
@@ -253,11 +246,10 @@ class MicroBatcher:
     def _execute_batch(self, model: str, requests: List[_Request]) -> None:
         graph = self._graph_for(model)
         runtime = self.session.runtime
-        telemetry = getattr(self.session, "telemetry", None)
-        trace = (telemetry.start_trace(f"batcher:{model}",
-                                       root_name=f"batcher:{model}",
-                                       model=model, requests=len(requests))
-                 if telemetry is not None else None)
+        telemetry = self.session.telemetry
+        trace = telemetry.start_trace(f"batcher:{model}",
+                                      root_name=f"batcher:{model}",
+                                      model=model, requests=len(requests))
         if trace is not None:
             # A per-call runtime clone carries the span, so this batch's
             # predict spans land in *this* trace rather than a concurrent
@@ -269,7 +261,7 @@ class MicroBatcher:
             # Fault hook inside the try: an injected batch failure takes
             # the same path as a real one — every coalesced request's
             # future gets the error, nothing hangs.
-            faults = getattr(self.session, "faults", None)
+            faults = self.session.faults
             if faults is not None:
                 faults.fire("batcher.execute", detail=model)
             total = sum(request.rows for request in requests)
@@ -286,7 +278,7 @@ class MicroBatcher:
             outputs = runtime.run_graph_batched(graph, stacked, wanted, total)
             # Feed the per-model cost back so adaptive sizing learns from
             # the batcher's own traffic, not just the sql() path.
-            feedback = getattr(self.session, "feedback", None)
+            feedback = self.session.feedback
             if feedback is not None:
                 feedback.record_predict(model, total,
                                         time.perf_counter() - started)
@@ -300,16 +292,9 @@ class MicroBatcher:
         if trace is not None:
             trace.root.set(rows=total)
             telemetry.tracer.finish(trace)
-            lock = getattr(self.session, "_stats_lock", None)
-            if lock is not None:
-                with lock:
-                    self.session.runtime.gpu_time_adjustment += \
-                        runtime.gpu_time_adjustment
-            else:
-                self.session.runtime.gpu_time_adjustment += \
-                    runtime.gpu_time_adjustment
-        if self._batch_rows_hist is not None:
-            self._batch_rows_hist.observe(total)
+            self.session.runtime.add_gpu_adjustment(
+                runtime.gpu_time_adjustment)
+        self._batch_rows_hist.observe(total)
         with self._condition:
             self.stats.batches += 1
             self.stats.largest_batch = max(self.stats.largest_batch,
@@ -367,14 +352,8 @@ class MicroBatcher:
             self.flush()
         else:
             with self._condition:
-                drained = [request for requests in self._queues.values()
+                drained = [request for requests in self._drain().values()
                            for request in requests]
-                self._queues = {}
-                self._oldest = None
-                if self._queue_rows_gauge is not None and drained:
-                    self._queue_rows_gauge.dec(
-                        sum(request.rows for request in drained))
-                    self._queue_requests_gauge.dec(len(drained))
             error = ExecutionError(
                 f"MicroBatcher.close(): worker thread still alive after "
                 f"{timeout}s; {len(drained)} pending request(s) failed"

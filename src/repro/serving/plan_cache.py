@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.storage.catalog import Catalog
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import CounterGroup
 
 DEFAULT_CAPACITY = 128
 # Default bound on waiting for another caller's in-flight optimization:
@@ -50,20 +50,7 @@ DEFAULT_JOIN_TIMEOUT = 30.0
 DependencyVersions = Dict[Tuple[str, str], int]
 
 
-def _counter_property(name: str) -> property:
-    """Attribute API over a registry counter: reads return the counter's
-    value, assignment sets it — so existing ``stats.field += 1`` call
-    sites (already serialized by their owners' locks) work unchanged."""
-    def fget(self):
-        return self._counters[name].value
-
-    def fset(self, value):
-        self._counters[name].set(value)
-
-    return property(fget, fset)
-
-
-class PlanCacheStats:
+class PlanCacheStats(CounterGroup):
     """Hit/miss/eviction/invalidation counters (monotonic).
 
     ``coalesced`` counts misses that waited on a concurrent in-flight
@@ -76,50 +63,14 @@ class PlanCacheStats:
     persisted snapshot (warm start) after validating against the live
     catalog; ``join_timeouts`` are single-flight waits that expired
     before the owner published (the waiter optimized independently).
-
-    Counters live on a :class:`~repro.telemetry.metrics.MetricsRegistry`
-    as ``plan_cache_<field>`` (a private registry until :meth:`bind`
-    re-homes them onto a session's shared one); the dataclass-era
-    attribute API — reads, assignment, ``+=`` under the cache's lock —
-    is preserved bit-for-bit by properties.
+    The session binds them onto its shared registry.
     """
 
+    PREFIX = "plan_cache_"
     FIELDS = ("hits", "misses", "evictions", "invalidations", "coalesced",
               "reoptimizations", "restored", "join_timeouts")
 
-    __slots__ = ("_counters",)
-
-    def __init__(self, hits: int = 0, misses: int = 0, evictions: int = 0,
-                 invalidations: int = 0, coalesced: int = 0,
-                 reoptimizations: int = 0, restored: int = 0,
-                 join_timeouts: int = 0,
-                 registry: Optional[MetricsRegistry] = None):
-        if registry is None:
-            registry = MetricsRegistry()
-        values = (hits, misses, evictions, invalidations, coalesced,
-                  reoptimizations, restored, join_timeouts)
-        self._counters = {}
-        for name, value in zip(self.FIELDS, values):
-            counter = registry.counter(f"plan_cache_{name}")
-            if value:
-                counter.inc(value)
-            self._counters[name] = counter
-
-    def bind(self, registry: MetricsRegistry) -> None:
-        """Re-home the counters onto ``registry`` (the session's shared
-        one), carrying the values accumulated so far."""
-        for name in self.FIELDS:
-            current = self._counters[name]
-            target = registry.counter(current.name)
-            if target is current:
-                continue
-            value = current.value
-            if value:
-                target.inc(value)
-            self._counters[name] = target
-
-    def _values(self) -> Tuple[int, ...]:
-        return tuple(self._counters[name].value for name in self.FIELDS)
+    __slots__ = ()
 
     @property
     def lookups(self) -> int:
@@ -129,24 +80,6 @@ class PlanCacheStats:
     def hit_rate(self) -> float:
         lookups = self.lookups
         return self.hits / lookups if lookups else 0.0
-
-    def snapshot(self) -> "PlanCacheStats":
-        return PlanCacheStats(*self._values())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PlanCacheStats):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{name}={value}" for name, value
-                          in zip(self.FIELDS, self._values()))
-        return f"PlanCacheStats({inner})"
-
-
-for _field in PlanCacheStats.FIELDS:
-    setattr(PlanCacheStats, _field, _counter_property(_field))
-del _field
 
 
 @dataclass
@@ -229,12 +162,12 @@ class PlanCache:
         if entry is not None and not entry.is_current(catalog):
             # Stale insert that raced a catalog mutation.
             del self._entries[key]
-            self._stats.invalidations += 1
+            self._stats.inc("invalidations")
             return None
         if entry is None:
             return None
         self._entries.move_to_end(key)
-        self._stats.hits += 1
+        self._stats.inc("hits")
         entry.hits += 1
         return entry
 
@@ -243,7 +176,7 @@ class PlanCache:
         with self._lock:
             entry = self._lookup_locked(key, catalog)
             if entry is None:
-                self._stats.misses += 1
+                self._stats.inc("misses")
             return entry
 
     def put(self, key: Tuple, entry: CachedPlan) -> None:
@@ -263,7 +196,7 @@ class PlanCache:
             if key in self._entries:
                 return
             self._put_locked(key, entry)
-            self._stats.restored += 1
+            self._stats.inc("restored")
 
     def entries(self) -> list:
         """Point-in-time ``(key, entry)`` list, LRU-oldest first.
@@ -280,7 +213,7 @@ class PlanCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self._stats.evictions += 1
+            self._stats.inc("evictions")
 
     # ------------------------------------------------------------------
     # Single-flight misses
@@ -303,7 +236,7 @@ class PlanCache:
             if flight is None:
                 flight = Flight(key)
                 self._flights[key] = flight
-                self._stats.misses += 1
+                self._stats.inc("misses")
                 return None, flight, True
             return None, flight, False
 
@@ -334,19 +267,19 @@ class PlanCache:
         finished = flight.event.wait(timeout)
         with self._lock:
             if not finished:
-                self._stats.join_timeouts += 1
+                self._stats.inc("join_timeouts")
             entry = None
             if finished:
                 entry = self._entries.get(flight.key)
                 if entry is not None and not entry.is_current(catalog):
                     del self._entries[flight.key]
-                    self._stats.invalidations += 1
+                    self._stats.inc("invalidations")
                     entry = None
             if entry is None:
-                self._stats.misses += 1
+                self._stats.inc("misses")
                 return None
             self._entries.move_to_end(flight.key)
-            self._stats.coalesced += 1
+            self._stats.inc("coalesced")
             entry.hits += 1
             return entry
 
@@ -374,7 +307,7 @@ class PlanCache:
             if current is None or (entry is not None and current is not entry):
                 return False
             del self._entries[key]
-            self._stats.reoptimizations += 1
+            self._stats.inc("reoptimizations")
             return True
 
     # ------------------------------------------------------------------
@@ -396,7 +329,7 @@ class PlanCache:
                 for key in stale:
                     del self._entries[key]
                 removed = len(stale)
-            self._stats.invalidations += removed
+            self._stats.inc("invalidations", removed)
             return removed
 
     def attach(self, catalog: Catalog) -> None:
@@ -421,8 +354,4 @@ class PlanCache:
         return key in self._entries
 
     def __repr__(self) -> str:
-        s = self._stats
-        return (f"PlanCache(size={len(self)}/{self.capacity}, hits={s.hits}, "
-                f"misses={s.misses}, evictions={s.evictions}, "
-                f"invalidations={s.invalidations}, coalesced={s.coalesced}, "
-                f"reoptimizations={s.reoptimizations})")
+        return f"PlanCache(size={len(self)}/{self.capacity}, {self._stats!r})"

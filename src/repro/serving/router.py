@@ -57,7 +57,7 @@ class ShardRouter:
         self.shards: Dict[object, "RavenSession"] = dict(shards)
         self._ordered = sorted(self.shards, key=str)
         for key, session in self.shards.items():
-            session._persist_origin = shard_origin(key)
+            session.warm.origin = shard_origin(key)
         # Fan-out metrics, labeled ``shard=<key>`` so per-shard QPS and
         # latency skew show up in one scrape. ``registry`` lets a caller
         # (or the load observatory's sampler) share a registry with other

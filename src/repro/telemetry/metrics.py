@@ -1,10 +1,10 @@
 """A unified, thread-safe metrics registry: counters, gauges, histograms.
 
-This is the single runtime home for the counters that used to live
-scattered across the serving stack (``ServingStats``, ``PlanCache.stats``,
-batcher queue depth, expression fallbacks): those APIs survive unchanged,
-but their mutations now land on registry-backed instruments, so one
-snapshot (or one Prometheus scrape) sees the whole system.
+This is the single runtime home for the serving stack's counters
+(``ServingStats`` and ``PlanCache.stats``, both :class:`CounterGroup`
+subclasses; batcher queue depth; expression fallbacks): every mutation
+lands on a registry-backed instrument, so one snapshot (or one
+Prometheus scrape) sees the whole system.
 
 Three instrument kinds, all labeled and all safe for concurrent use:
 
@@ -67,8 +67,7 @@ def _render_prometheus_labels(labels: LabelItems,
 
 class Counter:
     """A monotonic counter. ``inc`` is atomic (the counter carries its
-    own lock); ``set`` exists for the stats back-compat properties that
-    assign a field, like the dataclass attributes they replace."""
+    own lock)."""
 
     __slots__ = ("name", "labels", "_lock", "_value")
     kind = "counter"
@@ -82,10 +81,6 @@ class Counter:
     def inc(self, amount: int = 1) -> None:
         with self._lock:
             self._value += amount
-
-    def set(self, value: int) -> None:
-        with self._lock:
-            self._value = value
 
     @property
     def value(self):
@@ -419,6 +414,64 @@ class MetricsRegistry:
             lines.append(f"{name}_sum{rendered} {_format(instrument.sum)}")
             lines.append(f"{name}_count{rendered} {instrument.count}")
         return "\n".join(lines) + "\n"
+
+
+class CounterGroup:
+    """Registry counters named ``<PREFIX><field>`` for each of a
+    subclass's ``FIELDS``, read as attributes (``stats.hits``) and changed
+    only through the atomic :meth:`inc` — assigning one raises
+    ``AttributeError``. Equality compares the field values."""
+
+    PREFIX = ""
+    FIELDS: Tuple[str, ...] = ()
+
+    __slots__ = ("_counters",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in cls.FIELDS:
+            setattr(cls, name, property(
+                lambda self, _name=name: self._counters[_name].value))
+
+    def __init__(self, registry: Optional[MetricsRegistry] = None,
+                 **values: int):
+        if registry is None:
+            registry = MetricsRegistry()
+        self._counters = {name: registry.counter(self.PREFIX + name)
+                          for name in self.FIELDS}
+        for name, value in values.items():
+            self.inc(name, value)
+
+    def inc(self, name: str, amount: int = 1) -> None:
+        """Atomically add ``amount`` to the ``name`` counter."""
+        self._counters[name].inc(amount)
+
+    def bind(self, registry: MetricsRegistry) -> None:
+        """Re-home the counters onto ``registry`` (a session's shared
+        one), carrying the values accumulated so far."""
+        for name, current in self._counters.items():
+            target = registry.counter(current.name)
+            if target is not current:
+                target.inc(current.value)
+                self._counters[name] = target
+
+    def values(self) -> Dict[str, int]:
+        return {name: counter.value
+                for name, counter in self._counters.items()}
+
+    def snapshot(self) -> "CounterGroup":
+        """A detached copy of the current values (on a private registry)."""
+        return type(self)(**self.values())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.values() == other.values()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={value}"
+                          for name, value in self.values().items())
+        return f"{type(self).__name__}({inner})"
 
 
 def _format(value) -> str:

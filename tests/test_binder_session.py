@@ -125,7 +125,7 @@ class TestSessionExecution:
     def test_last_run_stats_populated(self, session, covid_query):
         session.sql(covid_query)
         stats = session.last_run
-        assert stats.wall_seconds > 0
+        assert stats.execute_seconds > 0
         assert stats.optimize_seconds > 0
         assert stats.report is not None
 

@@ -1,9 +1,12 @@
 """Tests for PredictRuntime (UDF-style batching, modes, partition dispatch)."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from repro import RavenSession, Table
+from repro import MicroBatcher, RavenSession, Table
 from repro.core.executor import PredictRuntime, QueryExecutor
 from repro.errors import ExecutionError
 from repro.learn import DecisionTreeClassifier, make_standard_pipeline
@@ -129,4 +132,34 @@ class TestRunStats:
                     "DATA = t AS d) WITH (score FLOAT) AS p")
         stats = session.last_run
         assert stats.adjusted_seconds == pytest.approx(
-            stats.wall_seconds + stats.gpu_adjustment_seconds)
+            stats.execute_seconds + stats.gpu_adjustment_seconds)
+
+    def test_concurrent_gpu_adjustments_sum_into_the_session(self, setup):
+        catalog, _, _, table = setup
+        session = RavenSession(strategy="dnn", gpu_available=True,
+                               telemetry=True)
+        session.register_table("t", table, primary_key=["id"])
+        session.register_model("m", catalog.model("m").graph)
+        query = ("SELECT d.id, p.score FROM PREDICT(MODEL = m, "
+                 "DATA = t AS d) WITH (score FLOAT) AS p")
+        batcher = MicroBatcher(session)
+        for index in range(4):
+            batcher.predict("m", {"x": 0.1 * index, "z": 0.0, "c": "a"})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                flushed = pool.submit(batcher.flush)
+                runs = list(pool.map(
+                    lambda _: session.sql_with_stats(query)[1], range(8)))
+                assert flushed.result() == 1
+        finally:
+            sys.setswitchinterval(interval)
+            batcher.close()
+        assert any(trace.root.name == "batcher:m"
+                   for trace in session.telemetry.tracer.traces())
+        assert all(run.gpu_adjustment_seconds != 0.0 for run in runs)
+        # Equal up to float reassociation: a lost update would drop a
+        # whole call's adjustment.
+        assert session.runtime.gpu_time_adjustment == pytest.approx(
+            sum(run.gpu_adjustment_seconds for run in runs), rel=1e-9)

@@ -482,10 +482,10 @@ class TestSingleFlight:
         barrier = threading.Barrier(4)
         original = RavenSession._optimize_stmt
 
-        def slow_optimize(self, stmt):
+        def slow_optimize(self, stmt, **kwargs):
             optimize_calls.append(1)
             time.sleep(0.25)  # hold the flight open so the others coalesce
-            return original(self, stmt)
+            return original(self, stmt, **kwargs)
 
         session._optimize_stmt = slow_optimize.__get__(session)
 

@@ -350,13 +350,32 @@ class TestConcurrentExecution:
         assert after.submitted - before.submitted == len(queries)
         assert after.completed - before.completed == len(queries)
 
+    def test_plan_cache_counters_survive_contention(self, session):
+        # Every plan lookup counts exactly once as a hit, a miss or a
+        # coalesced wait, so a lost counter update would show as fewer
+        # lookups than queries.
+        query = "SELECT pi.id FROM patient_info AS pi WHERE pi.age > 60"
+        queries = [query] * 64
+        stats = session.plan_cache.stats
+        before = stats.snapshot()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = session.serve_outcomes(queries, workers=16)
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(outcome.ok for outcome in outcomes)
+        lookups = sum(getattr(stats, field) - getattr(before, field)
+                      for field in ("hits", "misses", "coalesced"))
+        assert lookups == len(queries)
+
     def test_serve_rejects_bad_workers(self, session):
         with pytest.raises(ValueError):
             session.serve([PREDICT_QUERY], workers=0)
 
     def test_per_call_stats_are_isolated(self, session):
         table, stats = session.sql_with_stats(PREDICT_QUERY)
-        assert stats.wall_seconds >= 0.0
+        assert stats.execute_seconds >= 0.0
         assert session.last_run is stats  # best-effort alias, serially exact
         _, second = session.sql_with_stats(PREDICT_QUERY)
         assert second is not stats

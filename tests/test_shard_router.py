@@ -71,8 +71,8 @@ class TestServe:
 class TestPerOriginSnapshots:
     def test_sessions_carry_shard_origins(self):
         router = make_router()
-        assert router.shards["us"]._persist_origin == shard_origin("us")
-        assert router.shards["eu"]._persist_origin == "shard-eu"
+        assert router.shards["us"].warm.origin == shard_origin("us")
+        assert router.shards["eu"].warm.origin == "shard-eu"
 
     def test_save_load_roundtrip_by_origin(self, tmp_path):
         router = make_router()
