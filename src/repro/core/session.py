@@ -180,7 +180,8 @@ class ServingStats(CounterGroup):
     currently inside ``sql()`` (incremented on entry, decremented in a
     ``finally`` so error paths can never wedge it high), giving the
     metrics sampler live concurrency next to queue depth. It is live
-    state, so equality and :meth:`snapshot` cover the counters only.
+    state, so equality covers the counters only; :meth:`snapshot` and
+    ``repr`` carry its current level.
     """
 
     PREFIX = "serving_"
@@ -192,15 +193,25 @@ class ServingStats(CounterGroup):
     __slots__ = ("in_flight",)
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 **values: int):
+                 queries_in_flight: int = 0, **values: int):
         if registry is None:
             registry = MetricsRegistry()
         super().__init__(registry, **values)
         self.in_flight = registry.gauge("serving_queries_in_flight")
+        if queries_in_flight:
+            self.in_flight.set(queries_in_flight)
 
     @property
     def queries_in_flight(self) -> int:
         return self.in_flight.value
+
+    def snapshot(self) -> "ServingStats":
+        return ServingStats(queries_in_flight=self.queries_in_flight,
+                            **self.values())
+
+    def __repr__(self) -> str:
+        return (f"{super().__repr__()[:-1]}, "
+                f"queries_in_flight={self.queries_in_flight})")
 
 
 class RavenSession:

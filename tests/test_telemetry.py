@@ -286,47 +286,51 @@ class TestExporterGoldens:
 # ---------------------------------------------------------------------------
 
 class TestStatsBackCompat:
-    @pytest.mark.parametrize("group, derived", [
-        (ServingStats, {"queries_in_flight": 0}),
-        (PlanCacheStats, {"lookups": 3, "hit_rate": pytest.approx(1 / 3)}),
-    ], ids=["ServingStats", "PlanCacheStats"])
-    def test_counter_group_api(self, group, derived):
-        registry = MetricsRegistry()
-        stats = group(registry=registry)
-        expected = {field: amount
-                    for amount, field in enumerate(group.FIELDS, start=1)}
-        for field, amount in expected.items():
-            assert getattr(stats, field) == 0
-            stats.inc(field, amount)
-        # Attribute reads, landing on the registry as <PREFIX><field>.
-        counters = registry.snapshot()["counters"]
-        for field, value in expected.items():
-            assert getattr(stats, field) == value
-            assert counters[group.PREFIX + field] == value
-        for name, value in derived.items():
-            assert getattr(stats, name) == value
-        # A snapshot is a detached copy, equal by counter values.
-        first = group.FIELDS[0]
-        copy = stats.snapshot()
-        assert copy == stats == group(**expected)
-        stats.inc(first)
-        assert copy != stats and getattr(copy, first) == 1
-        assert f"{first}=2" in repr(stats)
-        # bind re-homes the counters, carrying their values.
-        shared = MetricsRegistry()
-        stats.bind(shared)
-        stats.inc(first)
-        assert getattr(stats, first) == 3
-        assert shared.snapshot()["counters"][group.PREFIX + first] == 3
+    def test_serving_stats_attribute_api(self):
+        stats = ServingStats()
+        assert stats.submitted == 0
+        stats.inc("submitted", 3)
+        stats.inc("retries", 5)
+        assert stats.submitted == 3 and stats.retries == 5
+        snap = stats.snapshot()
+        assert snap == stats
+        stats.inc("submitted")
+        assert snap != stats and snap.submitted == 3
         # Fields change only through the atomic inc.
         with pytest.raises(AttributeError):
-            setattr(stats, first, 0)
-        if group is ServingStats:
-            # The in-flight gauge is live state: read through, and never
-            # part of equality.
-            stats.in_flight.inc(3)
-            assert stats.queries_in_flight == 3
-            assert stats.snapshot() == stats
+            stats.retries = 0
+
+    def test_serving_stats_lands_on_registry(self):
+        registry = MetricsRegistry()
+        stats = ServingStats(registry=registry)
+        for amount, field in enumerate(ServingStats.FIELDS, start=1):
+            stats.inc(field, amount)
+        counters = registry.snapshot()["counters"]
+        for amount, field in enumerate(ServingStats.FIELDS, start=1):
+            assert counters[f"serving_{field}"] == amount
+
+    def test_plan_cache_stats_attribute_api(self):
+        stats = PlanCacheStats()
+        stats.inc("hits", 3)
+        stats.inc("misses")
+        assert stats.lookups == 4
+        assert stats.hit_rate == pytest.approx(0.75)
+        assert stats.snapshot() == PlanCacheStats(hits=3, misses=1)
+        assert "hits=3" in repr(stats)
+        with pytest.raises(AttributeError):
+            stats.hits = 0
+
+    def test_bind_rehomes_counters_with_values(self):
+        stats = PlanCacheStats(hits=2)
+        registry = MetricsRegistry()
+        stats.bind(registry)
+        assert stats.hits == 2
+        stats.inc("hits")
+        assert registry.snapshot()["counters"]["plan_cache_hits"] == 3
+        serving = ServingStats(completed=4)
+        serving.bind(registry)
+        serving.inc("completed")
+        assert registry.snapshot()["counters"]["serving_completed"] == 5
 
     def test_session_registry_sees_both_stat_families(self, traced_session,
                                                       covid_query):
@@ -892,6 +896,15 @@ class TestQueriesInFlightGauge:
             [FILTER_QUERY, "SELECT m.id FROM missing AS m WHERE m.x > 0"])
         assert [o.ok for o in outcomes] == [True, False]
         assert traced_session.serving_stats.queries_in_flight == 0
+
+    def test_snapshot_and_repr_carry_the_gauge(self):
+        stats = ServingStats(queries_in_flight=3)
+        assert stats.queries_in_flight == 3
+        copy = stats.snapshot()
+        assert copy.queries_in_flight == 3
+        assert "queries_in_flight=3" in repr(stats)
+        # Equality stays counters-only: live concurrency is not identity.
+        assert ServingStats(queries_in_flight=3) == ServingStats()
 
 
 # ---------------------------------------------------------------------------
