@@ -10,6 +10,12 @@ Measures the two workloads the compiled engine (CSE + masked CASE routing
 * **wide CSE-heavy projection** — 32 projection outputs all built from
   the same handful of scaled features; one shared instruction DAG
   evaluates each distinct subexpression once.
+* **categorical-split tree** — a depth-8 tree whose top three levels
+  split on MLtoSQL one-hot CASEs (``CASE WHEN c = 'v' THEN 1 ELSE 0
+  END``) over a ``<U23`` column, as in the hospital serving query. The
+  table is registered through the catalog, so the column carries the
+  dictionary codes the compiled engine compares; the interpreted
+  oracle compares the raw strings.
 
 Acceptance gate (also run by the CI bench-smoke job): compiled must never
 be slower than interpreted on the deep-tree workload, and at full scale
@@ -27,14 +33,19 @@ from repro.bench.harness import ReportTable, scaled, timed
 from repro.core.rules.ml_to_sql import tree_to_expression
 from repro.learn.tree import TreeNode
 from repro.relational.executor import Executor
-from repro.relational.expressions import FunctionCall, col, lit
+from repro.relational.expressions import CaseWhen, FunctionCall, col, lit
 from repro.relational.logical import Project, Scan
 from repro.storage.catalog import Catalog
+from repro.storage.column import Column
 from repro.storage.table import Table
 
 ROWS = scaled(100_000)
 TREE_DEPTH = 8
 WIDE_OUTPUTS = 32
+# Categorical workload: one <U23 column with this many values; the top
+# CATEGORICAL_LEVELS tree levels split on its one-hot features.
+CATEGORIES = 10
+CATEGORICAL_LEVELS = 3
 JSON_PATH = RESULTS_DIR / "bench_expressions.json"
 
 # Full-scale acceptance: compiled >= 3x on the deep tree; at smoke scale
@@ -44,15 +55,26 @@ FULL_SCALE_SPEEDUP = 3.0
 
 
 def _make_tree(depth: int, rng: np.random.Generator,
-               n_features: int) -> TreeNode:
+               n_features: int, categorical_from: int = 0,
+               n_categorical: int = 0) -> TreeNode:
+    """A full tree; levels with ``depth > categorical_from`` split on
+    one-hot features (indices ``n_features ..``, threshold 0.5)."""
     if depth == 0:
         p = float(rng.random())
         return TreeNode(value=np.array([1.0 - p, p]))
+    if n_categorical and depth > categorical_from:
+        feature = n_features + int(rng.integers(0, n_categorical))
+        threshold = 0.5
+    else:
+        feature = int(rng.integers(0, n_features))
+        threshold = float(rng.normal(0.0, 1.0))
     return TreeNode(
-        feature=int(rng.integers(0, n_features)),
-        threshold=float(rng.normal(0.0, 1.0)),
-        left=_make_tree(depth - 1, rng, n_features),
-        right=_make_tree(depth - 1, rng, n_features),
+        feature=feature,
+        threshold=threshold,
+        left=_make_tree(depth - 1, rng, n_features, categorical_from,
+                        n_categorical),
+        right=_make_tree(depth - 1, rng, n_features, categorical_from,
+                         n_categorical),
     )
 
 
@@ -71,6 +93,25 @@ def _deep_tree_workload():
     features = [col(f"t.x{k}") for k in range(n_features)]
     expr = tree_to_expression(_make_tree(TREE_DEPTH, rng, n_features),
                               features, value_index=1)
+    plan = Project(Scan("t"), [("score", expr)])
+    return table, plan
+
+
+def _categorical_tree_workload():
+    """Project(depth-8 tree, top levels on one-hot CASEs of a <U23 column)."""
+    n_features = 6
+    rng = np.random.default_rng(7)
+    values = np.asarray([f"cat{k}" for k in range(CATEGORIES)],
+                        dtype="<U23")
+    table = _feature_table(n_features, ROWS).with_column(
+        "c", Column(values[rng.integers(0, CATEGORIES, ROWS)]))
+    one_hot = [CaseWhen([(col("t.c").eq(lit(str(value))), lit(1.0))],
+                        lit(0.0)) for value in values]
+    features = [col(f"t.x{k}") for k in range(n_features)] + one_hot
+    tree = _make_tree(TREE_DEPTH, rng, n_features,
+                      categorical_from=TREE_DEPTH - CATEGORICAL_LEVELS,
+                      n_categorical=CATEGORIES)
+    expr = tree_to_expression(tree, features, value_index=1)
     plan = Project(Scan("t"), [("score", expr)])
     return table, plan
 
@@ -124,6 +165,7 @@ def _expression_report() -> ReportTable:
     workloads = [
         ("deep_tree_case_depth8", _deep_tree_workload),
         (f"wide_cse_projection_x{WIDE_OUTPUTS}", _wide_cse_workload),
+        ("categorical_tree_depth8", _categorical_tree_workload),
     ]
     for name, build in workloads:
         table, plan = build()

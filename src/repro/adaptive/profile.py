@@ -60,6 +60,21 @@ def expression_fingerprint(expr: Expression) -> str:
     return _digest(repr(expr))
 
 
+def operator_label(node: PlanNode) -> str:
+    """``node._label()``, rendered once per plan node and cached on it.
+
+    The label of an MLtoSQL Project spells out its whole CASE tree (tens
+    of KB), so profiled runs of a cached plan must not re-render it.
+    Plan nodes are not mutated after construction (re-optimization
+    rebuilds the nodes it annotates), so the cached text stays exact.
+    """
+    cached = node.__dict__.get("_operator_label")
+    if cached is None:
+        cached = node._label()
+        node._operator_label = cached
+    return cached
+
+
 def plan_fingerprint(node: PlanNode) -> str:
     """Deterministic structural fingerprint of a plan subtree.
 
@@ -113,7 +128,7 @@ def plan_fingerprint(node: PlanNode) -> str:
     elif isinstance(node, Limit):
         payload = f"Limit:{node.count}"
     else:  # unknown operator: fall back to its label
-        payload = node._label()
+        payload = operator_label(node)
     fingerprint = _digest(payload + "|" + "|".join(child_fps))
     node._adaptive_fp = fingerprint
     return fingerprint
@@ -607,7 +622,7 @@ class PlanProfiler:
                     for child in node.children()]
         acc = nodes.get(id(node))
         profile = OperatorProfile(
-            operator=node._label(),
+            operator=operator_label(node),
             fingerprint=plan_fingerprint(node),
             calls=acc.calls if acc else 0,
             rows_out=acc.rows_out if acc else 0,

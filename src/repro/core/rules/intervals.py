@@ -116,9 +116,19 @@ UNIT = Interval(0.0, 1.0)  # one-hot/binarizer outputs always land here
 
 @dataclass(frozen=True)
 class StringConstraint:
-    """Constraint on a string-valued edge: membership in a value set."""
+    """Constraint on a string-valued edge: membership in a value set.
+
+    Values are kept as numpy ``<U`` columns store them, without trailing
+    NULs: ``col = 'a\\x00'`` matches a stored ``'a'``, so the constraint
+    must compare equal to the ``'a'`` in statistics and encoder
+    categories.
+    """
 
     values: Tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "values",
+                           tuple(value.rstrip("\x00") for value in self.values))
 
     @classmethod
     def equal(cls, value: str) -> "StringConstraint":

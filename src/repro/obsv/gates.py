@@ -78,6 +78,8 @@ DEFAULT_GATES: Sequence[Gate] = (
          tolerance=0.30),
     Gate("expressions", "workloads.wide_cse_projection_x32.speedup",
          tolerance=0.40),
+    Gate("expressions", "workloads.categorical_tree_depth8.speedup",
+         tolerance=0.30),
     Gate("adaptive", "speedup", tolerance=0.20),
     Gate("joins", "speedup"),
     Gate("persist", "speedup"),

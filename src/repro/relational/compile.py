@@ -21,6 +21,15 @@ vectorized instructions:
   the guarded-out rows.
 * **Constant folding** — literal-only subtrees are evaluated once at
   compile time and broadcast (zero-copy) at run time.
+* **String compares on dictionary codes** — ``=``, ``<>`` and ``IN``
+  between a STRING column and string literals (every MLtoSQL one-hot
+  split) lower to one ``strin`` instruction. When the run's source
+  carries dictionary codes for the column (built at registration, see
+  :mod:`repro.storage.column`), it maps the literals to codes once per
+  run and compares ``uint8`` codes; a literal absent from the dictionary
+  gives a constant result. Without codes (spilled columns, computed
+  strings, join outputs, partitions with differing dictionaries) it runs
+  the string compare the ``cmp``/``in`` instructions would.
 
 Programs are bit-for-bit equivalent to the interpreted path (which stays
 available as the differential-testing oracle behind the session flag
@@ -60,6 +69,29 @@ _NP_DTYPES = {
 }
 
 
+def _code_lookup(source, name: str, values: np.ndarray, negated: bool
+                 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Codes of column ``name`` and a 256-entry result table, or None.
+
+    ``table[code]`` is the compare's result for a row carrying ``code``:
+    True for the literals found in the dictionary (numpy string equality,
+    exactly as the string compare) and flipped for ``<>``.
+    """
+    encoded = source.codes(name)
+    if encoded is None:
+        return None
+    dictionary, codes = encoded
+    table = np.zeros(256, dtype=np.bool_)
+    if len(dictionary):
+        positions = np.minimum(np.searchsorted(dictionary, values),
+                               len(dictionary) - 1)
+        hits = positions[dictionary[positions] == values]
+        table[hits] = True
+    if negated:
+        np.logical_not(table, out=table)
+    return codes, table
+
+
 class _Instr:
     """One SSA instruction: an opcode, input slots, and static payload."""
 
@@ -79,7 +111,7 @@ class _Instr:
 class _RunContext:
     """Per-run mutable state: source columns and the full-row value memo."""
 
-    __slots__ = ("source", "num_rows", "columns", "full")
+    __slots__ = ("source", "num_rows", "columns", "full", "lookups")
 
     def __init__(self, source):
         self.source = source
@@ -88,6 +120,9 @@ class _RunContext:
         # slot -> value over ALL rows of the source; masked evaluations
         # gather from here instead of recomputing.
         self.full: Dict[int, np.ndarray] = {}
+        # id(strin instruction) -> (codes over all rows, result table by
+        # code), or None when the source has no codes for the column.
+        self.lookups: Dict[int, Optional[Tuple[np.ndarray, np.ndarray]]] = {}
 
     def column(self, name: str) -> np.ndarray:
         array = self.columns.get(name)
@@ -232,6 +267,23 @@ class CompiledProgram:
         data = self._eval(instr.args[0], ctx, active, memo)
         return np.isin(data, instr.payload)
 
+    def _eval_strin(self, instr, ctx, active, memo):
+        # payload: (column name, op: "=", "<>" or "in", literal values
+        # as a <U array).
+        name, op, values = instr.payload
+        key = id(instr)
+        if key not in ctx.lookups:
+            ctx.lookups[key] = _code_lookup(ctx.source, name, values,
+                                            op == "<>")
+        found = ctx.lookups[key]
+        if found is None:
+            data = self._eval(instr.args[0], ctx, active, memo)
+            if op == "in":
+                return np.isin(data, values)
+            return _COMPARE_FUNCS[op](data, values[0])
+        codes, table = found
+        return table[codes if active is None else codes[active]]
+
     def _eval_between(self, instr, ctx, active, memo):
         value = self._eval(instr.args[0], ctx, active, memo)
         low = self._eval(instr.args[1], ctx, active, memo)
@@ -371,6 +423,9 @@ class _Compiler:
             return self._const_instr(expr)
         if isinstance(expr, ColumnRef):
             return _Instr("col", payload=expr.name)
+        strin = self._string_compare(expr)
+        if strin is not None:
+            return strin
         children = tuple(self.lower(child) for child in expr.children())
         folded = self._try_fold(expr, children)
         if folded is not None:
@@ -398,6 +453,32 @@ class _Compiler:
         raise ExpressionError(
             f"cannot compile expression node {type(expr).__name__}"
         )
+
+    def _string_compare(self, expr: Expression) -> Optional[_Instr]:
+        """``strin`` for ``col = 'v'``, ``col <> 'v'`` or ``col IN ('v', ...)``.
+
+        Only a STRING column against string literals qualifies; anything
+        else (mixed-type IN lists, computed operands) lowers as before.
+        """
+        if isinstance(expr, BinaryOp) and expr.op in ("=", "<>"):
+            column, literal = expr.left, expr.right
+            if isinstance(column, Literal):
+                column, literal = literal, column
+            if not (isinstance(literal, Literal)
+                    and literal.dtype is DataType.STRING):
+                return None
+            operand, op, values = column, expr.op, (literal.value,)
+        elif isinstance(expr, InList):
+            operand, op, values = expr.operand, "in", expr.values
+        else:
+            return None
+        if not (isinstance(operand, ColumnRef)
+                and operand.name in self.schema
+                and self.schema.dtype_of(operand.name) is DataType.STRING
+                and all(isinstance(value, str) for value in values)):
+            return None
+        return _Instr("strin", (self.lower(operand),),
+                      (operand.name, op, np.asarray(values)))
 
     # ------------------------------------------------------------------
     def _const_instr(self, literal: Literal) -> _Instr:

@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from repro.errors import InjectedFaultError, PersistError
-from repro.storage.column import Column, DataType
+from repro.storage.column import Column, DataType, dictionary_encode
 from repro.storage.table import Table
 
 #: Fault-injection site for spill-file writes (registered in
@@ -61,6 +61,11 @@ class MmapColumn(Column):
         # memmap as a plain ndarray over the same mapped buffer — no copy.
         super().__init__(data, dtype)
         self.path = path
+
+    def encode(self):
+        """Statistics only: spilled data keeps no resident codes."""
+        distinct, dictionary, _ = dictionary_encode(self.data)
+        return distinct, dictionary
 
 
 def write_spill(array: np.ndarray, path: Union[str, Path],

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.storage.column import Column, DataType
+from repro.storage.column import MAX_DICTIONARY_SIZE, Column, DataType
 from repro.storage.table import Table
 
 
@@ -41,7 +41,7 @@ class ColumnStats:
     categories: Optional[Tuple[str, ...]] = None
     null_count: Optional[int] = None
 
-    MAX_TRACKED_CATEGORIES = 256
+    MAX_TRACKED_CATEGORIES = MAX_DICTIONARY_SIZE
 
     @classmethod
     def collect(cls, name: str, column: Column) -> "ColumnStats":
@@ -69,15 +69,17 @@ class ColumnStats:
                 null_count=nulls,
             )
         # String column: record distinct values when the domain is small.
-        uniques = np.unique(data) if n else np.asarray([], dtype=np.str_)
+        # The dictionary encoding built here (kept on the column for the
+        # compiled engine's code compares) is np.unique(data) exactly.
+        distinct, dictionary = column.encode()
         categories = None
-        if len(uniques) <= cls.MAX_TRACKED_CATEGORIES:
-            categories = tuple(str(u) for u in uniques)
+        if dictionary is not None:
+            categories = tuple(str(u) for u in dictionary)
         return cls(
             name,
             column.dtype,
             n,
-            distinct_count=int(len(uniques)),
+            distinct_count=int(distinct),
             categories=categories,
             null_count=0,
         )

@@ -8,12 +8,13 @@ relational executor produces and consumes. A :class:`Schema` describes the
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from repro.errors import SchemaError
-from repro.storage.column import Column, DataType
+from repro.storage.column import Column, DataType, concat_columns
 
 
 class Schema:
@@ -140,6 +141,13 @@ class Table:
     def array(self, name: str) -> np.ndarray:
         return self.column(name).data
 
+    def codes(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(dictionary, codes)`` of a dictionary-encoded column, else None."""
+        column = self.column(name)
+        if column.codes is None:
+            return None
+        return column.dictionary, column.codes
+
     def nbytes(self) -> int:
         return sum(col.nbytes() for col in self.columns.values())
 
@@ -227,16 +235,18 @@ class TableView:
     against the view (it exposes the same ``array``/``num_rows``/
     ``schema`` surface :meth:`Expression.evaluate` needs); the gather
     happens once per referenced column, at a pipeline breaker
-    (:meth:`materialize`) or on first access (memoized).
+    (:meth:`materialize`) or on first access (memoized). Dictionary codes
+    (:meth:`codes`) are gathered and memoized the same way.
     """
 
-    __slots__ = ("table", "selection", "_gathered")
+    __slots__ = ("table", "selection", "_gathered", "_gathered_codes")
 
     def __init__(self, table: Table, selection: np.ndarray | None = None):
         self.table = table
         # None = all rows; else absolute int64 row indices into `table`.
         self.selection = selection
         self._gathered: Dict[str, np.ndarray] = {}
+        self._gathered_codes: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -268,6 +278,18 @@ class TableView:
             cached = self.table.array(name)[self.selection]
             self._gathered[name] = cached
         return cached
+
+    def codes(self, name: str) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """``(dictionary, codes)`` restricted to this view's rows, else None."""
+        encoded = self.table.codes(name)
+        if encoded is None or self.selection is None:
+            return encoded
+        dictionary, codes = encoded
+        cached = self._gathered_codes.get(name)
+        if cached is None:
+            cached = codes[self.selection]
+            self._gathered_codes[name] = cached
+        return dictionary, cached
 
     def column(self, name: str) -> Column:
         return Column(self.array(name), self.table.column(name).dtype)
@@ -314,6 +336,5 @@ def concat_tables(tables: Sequence[Table]) -> Table:
         return first
     out = []
     for name in first.column_names:
-        pieces = [t.column(name).data for t in tables]
-        out.append((name, Column(np.concatenate(pieces), first.column(name).dtype)))
+        out.append((name, concat_columns([t.column(name) for t in tables])))
     return Table(out)

@@ -160,6 +160,39 @@ class TestProfiling:
         assert stats.total_seconds == pytest.approx(
             stats.optimize_seconds + stats.execute_seconds)
 
+    def test_profiled_runs_render_each_label_once(self, session, covid_query,
+                                                  monkeypatch):
+        # An MLtoSQL Project's label spells out its whole CASE tree;
+        # profiled runs of one cached plan must render it once, not per run.
+        from collections import Counter
+
+        from repro.relational import logical
+
+        rendered = Counter()
+
+        def counting(label):
+            def wrapper(node):
+                rendered[id(node)] += 1
+                return label(node)
+            return wrapper
+
+        pending = [logical.PlanNode]
+        while pending:
+            cls = pending.pop()
+            pending.extend(cls.__subclasses__())
+            if "_label" in cls.__dict__:
+                monkeypatch.setattr(cls, "_label",
+                                    counting(cls.__dict__["_label"]))
+        session.sql_with_stats(covid_query)
+        stats = session.sql_with_stats(covid_query)[1]
+        assert stats.cache_hit
+        assert rendered and max(rendered.values()) == 1
+        # The cached labels are exactly what the plan's nodes render.
+        monkeypatch.undo()
+        (_, entry), = session.plan_cache.entries()
+        assert [p.operator for p in stats.operator_profiles.walk()] == \
+            [node._label() for node in walk(entry.plan)]
+
     def test_non_adaptive_sessions_do_not_profile(self, patients_table):
         sess = RavenSession(adaptive=False)
         sess.register_table("t", patients_table)
